@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.storage.ColumnarBlock
+import repro.storage.{Column, ColumnarBlock, StringColumn}
 import scala.jdk.CollectionConverters._
 
 /** Summary: the K smallest distinct visible tuples strictly after `start`
@@ -33,8 +33,21 @@ final case class NextItemsSketch(
   def zero = NextItemsSummary(Vector.empty)
 
   def summarize(block: ColumnarBlock, ctx: LeafCtx): NextItemsSummary = {
+    val cs = cols.map(block.column).toArray
+    // The code path compares strings only, so it takes a start key of one
+    // string or missing cell; any other start goes through the row scan.
+    val stringStart = start.forall(s => s.cells.length == 1 && !s.cells.head.isInstanceOf[NumCell])
+    cs match {
+      case Array(c: StringColumn) if stringStart => summarizeCodes(block, c)
+      case _                                     => summarizeRows(block, cs)
+    }
+  }
+
+  /** Generic scan: one allocation-free comparison per row, and a RowKey
+    * only for rows that enter the current top K.
+    */
+  private def summarizeRows(block: ColumnarBlock, cs: Array[Column]): NextItemsSummary = {
     val heap   = new java.util.TreeMap[RowKey, Long](ord)
-    val cs     = cols.map(block.column).toArray
     val signs  = sortCols.map(sc => if (sc.ascending) 1 else -1).toArray
     val startK = start.orNull
     block.foreachRow { i =>
@@ -49,6 +62,38 @@ final case class NextItemsSketch(
       }
     }
     NextItemsSummary(heap.entrySet.asScala.iterator.map(e => (e.getKey, e.getValue.longValue)).toVector)
+  }
+
+  /** Sort by one dictionary-encoded string column (§5.4): count rows per
+    * code, then build keys only for the ≤K smallest codes after `start`.
+    * The missing value is slot `dict.length` and, like `KeyCell.ordering`,
+    * sorts after every string before the column's sign is applied.
+    */
+  private def summarizeCodes(block: ColumnarBlock, c: StringColumn): NextItemsSummary = {
+    val missing = c.dict.length
+    val counts  = new Array[Long](missing + 1)
+    block.foreachRow { i => val code = c.codes(i); counts(if (code < 0) missing else code) += 1 }
+    def value(slot: Int): String = if (slot == missing) null else c.dict(slot)
+    val sign = if (sortCols.head.ascending) 1 else -1
+    def cmp(x: String, y: String): Int = sign * KeyCell.compareStrings(x, y)
+    // The start key's value; Some(null) when it is the missing value.
+    val from = start.map(_.cells.head match { case StrCell(v) => v; case _ => null })
+    // Bounded max-heap of the K smallest surviving slots.
+    val heap = new java.util.PriorityQueue[Integer](k + 1, (a: Integer, b: Integer) => cmp(value(b), value(a)))
+    var slot = 0
+    while (slot <= missing) {
+      if (counts(slot) > 0 && from.forall(f => cmp(value(slot), f) > 0) &&
+          (heap.size < k || cmp(value(slot), value(heap.peek())) < 0)) {
+        heap.add(slot)
+        if (heap.size > k) heap.poll()
+      }
+      slot += 1
+    }
+    val slots = Array.fill(heap.size)(heap.poll().intValue).reverse
+    NextItemsSummary(slots.iterator.map { s =>
+      val v = value(s)
+      (RowKey(Vector(if (v == null) NullCell else StrCell(v))), counts(s))
+    }.toVector)
   }
 
   def merge(a: NextItemsSummary, b: NextItemsSummary): NextItemsSummary = {
@@ -115,15 +160,24 @@ final case class FindTextSketch(
   def zero = FindTextSummary(None, 0L)
 
   def summarize(block: ColumnarBlock, ctx: LeafCtx): FindTextSummary = {
-    val c = block.column(col)
+    val hit: Int => Boolean = block.column(col) match {
+      case c: StringColumn => // match each dictionary entry once (§5.4)
+        val byCode = c.dict.map(matches)
+        i => { val code = c.codes(i); code >= 0 && byCode(code) }
+      case c => i => matches(c.asString(i))
+    }
+    val names  = sortCols.map(_.name)
+    val cs     = names.map(block.column).toArray
+    val signs  = sortCols.map(sc => if (sc.ascending) 1 else -1).toArray
+    val startK = start.orNull
     var best: RowKey = null
     var n = 0L
     block.foreachRow { i =>
-      if (matches(c.asString(i))) {
+      if (hit(i)) {
         n += 1
-        val key = RowKey.of(block, sortCols.map(_.name), i)
-        if (start.forall(s => ord.compare(key, s) > 0) &&
-            (best == null || ord.compare(key, best) < 0)) best = key
+        if ((startK == null || RowKey.compareRowTo(cs, i, startK, signs) > 0) &&
+            (best == null || RowKey.compareRowTo(cs, i, best, signs) < 0))
+          best = RowKey.of(block, names, i)
       }
     }
     FindTextSummary(Option(best), n)

@@ -28,6 +28,10 @@ object KeyCell {
       case (StrCell(_), NumCell(_))   => 1
     }
 
+  /** `ordering` on two string cells given as values, null meaning missing. */
+  def compareStrings(x: String, y: String): Int =
+    if (x == null) { if (y == null) 0 else 1 } else if (y == null) -1 else x.compareTo(y)
+
   def of(c: Column, i: Int): KeyCell =
     if (c.isMissing(i)) NullCell
     else c match {
@@ -53,10 +57,11 @@ object RowKey {
 
   /** Compare row `i` of the given columns against `key` under the sort
     * signs WITHOUT materializing a RowKey — the hot reject path of the
-    * next-items scan, which discards almost every row of a big table
-    * against the current K-th key.
+    * next-items and find-text scans, which discard almost every row of a
+    * big table against the current K-th or best key. Agrees in sign with
+    * `ordering` applied to `RowKey.of(block, cols, i)` and `key`.
     */
-  def compareRowTo(cols: Array[repro.storage.Column], i: Int, key: RowKey,
+  def compareRowTo(cols: Array[Column], i: Int, key: RowKey,
                    signs: Array[Int]): Int = {
     var j = 0
     while (j < cols.length && j < key.cells.length) {
@@ -68,16 +73,17 @@ object RowKey {
           case NullCell   => -1
           case NumCell(v) =>
             val x = c.asDouble(i)
-            if (x.isNaN) 1 else java.lang.Double.compare(x, v) // strings vs num handled below
-          case StrCell(s) =>
-            val x = c.asString(i)
-            if (x == null) 1 else x.compareTo(s)
+            if (x.isNaN) 1 else java.lang.Double.compare(x, v) // a string row sorts after numbers
+          case StrCell(s) => c match {
+            case _: StringColumn => c.asString(i).compareTo(s)
+            case _               => -1 // a numeric row sorts before strings
+          }
         }
       val signed = cmp * (if (j < signs.length) signs(j) else 1)
       if (signed != 0) return signed
       j += 1
     }
-    0
+    cols.length - key.cells.length
   }
 
   /** Lexicographic ordering honoring each column's direction. */

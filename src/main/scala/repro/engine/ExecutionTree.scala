@@ -1,7 +1,10 @@
 package repro.engine
 
+import java.util.concurrent.{LinkedBlockingQueue, TimeUnit}
 import org.apache.spark.rdd.RDD
+import scala.concurrent.ExecutionContext
 import scala.reflect.ClassTag
+import scala.util.{Failure, Success, Try}
 import repro.core.{LeafCtx, Serde, Sketch}
 import repro.storage.CachedTable
 
@@ -81,14 +84,20 @@ object ExecutionTree {
     val parts = summ.getNumPartitions
     if (parts == 0) return ProgressiveResult(Vector(Partial(sk.zero, 0, 0, 0.0, 0L)), cancelled = false)
 
-    val queue = new java.util.concurrent.ConcurrentLinkedQueue[S]()
+    // Leaf results and, if the job fails, its error arrive on one queue,
+    // so the root wakes for either at once.
+    val queue = new LinkedBlockingQueue[Try[S]]()
     val start = System.nanoTime()
     val action = sc.submitJob[S, S, Unit](
       summ,
       (it: Iterator[S]) => it.foldLeft(sk.zero)(sk.merge),
       0 until parts,
-      (_: Int, s: S) => { queue.add(s); () },
+      (_: Int, s: S) => { queue.put(Success(s)); () },
       ())
+    action.onComplete {
+      case Failure(e) => queue.put(Failure(e))
+      case _          => ()
+    }(ExecutionContext.parasitic)
 
     var acc       = sk.zero
     var done      = 0
@@ -101,9 +110,16 @@ object ExecutionTree {
     def elapsedMs = (System.nanoTime() - start) / 1e6
 
     while (done < parts && !cancelled) {
-      Thread.sleep(2)
-      var s = queue.poll()
-      while (s != null) { pending = sk.merge(pending, s); pendingN += 1; s = queue.poll() }
+      // Block until the next arrival; with arrivals pending, no later than
+      // their aggregation deadline.
+      var r =
+        if (pendingN == 0) queue.take()
+        else queue.poll(lastEmit + aggregationIntervalMs * 1000000L - System.nanoTime(), TimeUnit.NANOSECONDS)
+      while (r != null) {
+        pending = sk.merge(pending, r.get) // a job failure throws here
+        pendingN += 1
+        r = queue.poll()
+      }
       val complete = done + pendingN == parts
       val interval = (System.nanoTime() - lastEmit) / 1e6 >= aggregationIntervalMs
       if (pendingN > 0 && (complete || interval)) {
@@ -121,8 +137,6 @@ object ExecutionTree {
           action.cancel()
         }
       }
-      if (!cancelled && action.isCompleted && queue.isEmpty && done + pendingN < parts)
-        action.value.get.get // propagate the job failure
     }
     ProgressiveResult(partials.result(), cancelled)
   }

@@ -170,7 +170,10 @@ final class Spreadsheet(val cache: ComputationCache, val defaultV: Int = 200,
     // Practical target n = V² (App. C.1: "requires sample complexity
     // O(V²) for constant probability of success").
     val n   = math.min(vv.toLong * vv, 100000L).toInt
-    val qv  = progressive(t, QuantileSketch(sortCols, n), seed, 0.0)
+    // Leaves see a Bernoulli sample of ~n rows in all, oversampled by six
+    // standard deviations so the merged bottom-n is almost surely full.
+    val rate = SampleSize.rate(n + math.ceil(6 * math.sqrt(n.toDouble)).toLong, t.numRows)
+    val qv  = progressive(t, QuantileSketch(sortCols, n, rate), seed, 0.0)
     val at  = QuantileSketch.quantileOf(qv.result, sortCols, q)
     val nx  = progressive(t, NextItemsSketch(sortCols, k, at), seed + 1, 0.0)
     Viz(nx.result, qv.info + nx.info)

@@ -24,6 +24,27 @@ object TestData {
   def twoColBlock(xs: Array[Double], ys: Array[Double]): ColumnarBlock =
     ColumnarBlock.of(xs.length, "x" -> DoubleColumn(xs), "y" -> DoubleColumn(ys))
 
+  /** Deterministic block of `n` rows over small domains (so sort keys tie)
+    * with missing values in every column: "x" doubles, "s" strings,
+    * "l" longs and "d" dates.
+    */
+  def mixedBlock(n: Int, seed: Long): ColumnarBlock = {
+    val rng   = new SplitMix(seed)
+    val dict  = Array("AA", "B6", "DL", "UA", "WN")
+    val xs    = Array.fill(n)(if (rng.nextInt(10) == 0) Double.NaN else rng.nextInt(20) * 0.5)
+    val codes = Array.fill(n)(if (rng.nextInt(10) == 0) -1 else rng.nextInt(dict.length))
+    val ls    = Array.fill(n)(rng.nextInt(7).toLong - 3)
+    val days  = Array.fill(n)(18000 + rng.nextInt(30))
+    val lNull = new java.util.BitSet(n)
+    val dNull = new java.util.BitSet(n)
+    (0 until n).foreach { i =>
+      if (rng.nextInt(10) == 0) lNull.set(i)
+      if (rng.nextInt(10) == 0) dNull.set(i)
+    }
+    ColumnarBlock.of(n, "x" -> DoubleColumn(xs), "s" -> StringColumn(dict, codes),
+      "l" -> LongColumn(ls, lNull), "d" -> DateColumn(days, dNull))
+  }
+
   /** Deterministic pseudo-random doubles. */
   def randomDoubles(n: Int, seed: Long = 1, lo: Double = 0, hi: Double = 100): Array[Double] = {
     val rng = new SplitMix(seed)

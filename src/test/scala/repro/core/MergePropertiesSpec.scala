@@ -89,4 +89,29 @@ class MergePropertiesSpec extends AnyFunSuite {
       sk.merge(s1, s2).sample == sk.merge(s2, s1).sample
     })
   }
+
+  test("sampled columnar quantile summary: merge is the bottom-k union, quantileOf the RowKey sort") {
+    val gen = for {
+      xs    <- Gen.listOfN(200, Gen.frequency(1 -> Gen.const(Double.NaN), 6 -> Gen.choose(0, 9).map(_.toDouble)))
+      ss    <- Gen.listOfN(200, Gen.frequency(1 -> Gen.const(null: String), 6 -> Gen.oneOf("a", "b", "c")))
+      split <- Gen.choose(0, 200)
+      desc  <- Gen.oneOf(true, false)
+      q     <- Gen.choose(0.0, 1.0)
+    } yield (xs.toArray, ss, split, desc, q)
+    check(Prop.forAll(gen) { case (xs, ss, split, desc, q) =>
+      val sortCols = Seq(SortCol("s", ascending = !desc), SortCol("x", ascending = desc))
+      val sk = QuantileSketch(sortCols, 40, rate = 0.5)
+      def block(from: Int, until: Int) = {
+        val b = TestData.stringBlock("s", ss.slice(from, until))
+        b.copy(columns = b.columns + ("x" -> repro.storage.DoubleColumn(xs.slice(from, until))))
+      }
+      val s1 = sk.summarize(block(0, split), LeafCtx(0, 7))
+      val s2 = sk.summarize(block(split, 200), LeafCtx(1, 7))
+      val m  = sk.merge(s1, s2)
+      val byKeys = m.sample.map(_._2).sorted(RowKey.ordering(sortCols))
+      m.sample == (s1.sample ++ s2.sample).sortBy(_._1).take(40) &&
+        QuantileSketch.quantileOf(m, sortCols, q) ==
+          byKeys.lift(math.min(byKeys.length - 1, (q * byKeys.length).toInt))
+    })
+  }
 }

@@ -154,3 +154,41 @@ class FindTextSketchSpec extends AnyFunSuite {
     assert(m.firstMatch.get.cells.head == StrCell("apple"))
   }
 }
+
+/** The dictionary-code paths of next-items and find-text against
+  * brute force over materialized RowKeys.
+  */
+class DictionaryPathSpec extends AnyFunSuite {
+  import repro.TestData
+
+  private val blocks = (0 until 3).map(b => TestData.mixedBlock(400, seed = 60 + b))
+
+  private def allKeys(sortCols: Seq[SortCol]): Seq[RowKey] =
+    blocks.flatMap(b => (0 until b.numRows).map(i => RowKey.of(b, sortCols.map(_.name), i)))
+
+  test("single string sort counts per code and matches brute force") {
+    for (asc <- Seq(true, false); k <- Seq(2, 3, 20);
+         start <- Seq(None, Some(RowKey(Vector(StrCell("B6")))), Some(RowKey(Vector(NullCell))))) {
+      val sortCols = Seq(SortCol("s", asc))
+      val ord      = RowKey.ordering(sortCols)
+      val want = allKeys(sortCols).filter(key => start.forall(s => ord.compare(key, s) > 0))
+        .groupBy(identity).view.mapValues(_.size.toLong).toVector.sortBy(_._1)(ord).take(k)
+      val got = sketchAll(NextItemsSketch(sortCols, k, start), blocks).rows
+      assert(got == want, s"asc=$asc k=$k start=$start")
+    }
+  }
+
+  test("find-text first match and count match brute force under a mixed sort") {
+    val sortCols = Seq(SortCol("x", ascending = false), SortCol("l"), SortCol("d"))
+    val ord      = RowKey.ordering(sortCols)
+    for (pattern <- Seq("A", "b6", "zz"); start <- Seq(None, Some(RowKey(Vector(NumCell(4.0), NumCell(0), NullCell))))) {
+      val hits = blocks.flatMap(b => (0 until b.numRows).collect {
+        case i if Option(b.column("s").asString(i)).exists(_.toLowerCase.contains(pattern.toLowerCase)) =>
+          RowKey.of(b, sortCols.map(_.name), i)
+      })
+      val first = hits.filter(key => start.forall(s => ord.compare(key, s) > 0)).sorted(ord).headOption
+      val got   = sketchAll(FindTextSketch("s", pattern, SubstringMatch, caseSensitive = false, sortCols, start), blocks)
+      assert(got.matches == hits.size.toLong && got.firstMatch == first, s"pattern=$pattern start=$start")
+    }
+  }
+}

@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
 import repro.TestData._
+import repro.storage.{Column, ColumnarBlock, DoubleColumn}
 
 class QuantileSketchSpec extends AnyFunSuite {
 
@@ -55,6 +56,79 @@ class QuantileSketchSpec extends AnyFunSuite {
   test("empty input yields no quantile") {
     val s = QuantileSketch(sort, 10).zero
     assert(QuantileSketch.quantileOf(s, sort, 0.5).isEmpty)
+  }
+
+  private val mixed = (0 until 4).map(b => mixedBlock(700, seed = 40 + b))
+  private val mixedSorts = Seq(
+    Seq(SortCol("s"), SortCol("x", ascending = false)),
+    Seq(SortCol("x"), SortCol("l"), SortCol("s", ascending = false)),
+    Seq(SortCol("d", ascending = false), SortCol("s"), SortCol("l", ascending = false), SortCol("x")))
+
+  test("quantileOf over the columnar summary equals sorting RowKeys with RowKey.ordering") {
+    for (sortCols <- mixedSorts) {
+      val s      = sketchAll(QuantileSketch(sortCols, 1000, rate = 0.6), mixed, seed = 9)
+      val byKeys = s.sample.map(_._2).sorted(RowKey.ordering(sortCols))
+      assert(s.size == 1000)
+      assert(QuantileSummary.sortedRows(s, sortCols).map(s.key).toVector == byKeys, sortCols)
+      for (q <- Seq(0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)) {
+        val idx = math.min(byKeys.length - 1, (q * byKeys.length).toInt)
+        assert(QuantileSketch.quantileOf(s, sortCols, q).contains(byKeys(idx)), s"$sortCols q=$q")
+      }
+    }
+  }
+
+  test("keys decode missing values as NullCell and keep column types") {
+    val sortCols = Seq(SortCol("x"), SortCol("s"), SortCol("l"), SortCol("d"))
+    val b        = mixed.head
+    val s        = QuantileSketch(sortCols, 700).summarize(b, LeafCtx(0, 1))
+    assert(s.size == 700) // rate 1 and capacity ≥ rows: every row
+    val expected = (0 until 700).map(i => RowKey.of(b, sortCols.map(_.name), i)).toSet
+    assert(s.sample.map(_._2).toSet == expected)
+    assert(s.sample.exists(_._2.cells.contains(NullCell)))
+  }
+
+  test("the summary survives a Java round trip unchanged") {
+    val sortCols = mixedSorts(2)
+    val s        = sketchAll(QuantileSketch(sortCols, 500, rate = 0.5), mixed, seed = 3)
+    val in       = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(Serde.toBytes(s)))
+    val back     = in.readObject().asInstanceOf[QuantileSummary]
+    assert(back == s)
+    assert(back.sample == s.sample)
+    assert(back.capacity == s.capacity)
+  }
+
+  test("numeric columns serialize to at most 8·(columns + 1) + 16 bytes per sampled row") {
+    val cols   = Seq("a", "b", "c", "d", "e")
+    val rng    = new SplitMix(17)
+    val blocks = (0 until 4).map { _ =>
+      ColumnarBlock.of(5000, cols.map(c => c -> (DoubleColumn(Array.fill(5000)(rng.nextDouble())): Column)): _*)
+    }
+    for (k <- Seq(1, 5)) {
+      val sortCols = cols.take(k).map(SortCol(_))
+      val s        = sketchAll(QuantileSketch(sortCols, 2000, rate = 0.2), blocks)
+      assert(s.size == 2000)
+      val bytes = Serde.sizeOf(s)
+      assert(bytes <= (8L * (k + 1) + 16) * s.size, s"$k columns: $bytes bytes for ${s.size} rows")
+    }
+  }
+
+  test("at a Bernoulli rate over 8 blocks the rank bound holds and the sample is seed-deterministic") {
+    val big  = randomDoubles(200000, seed = 23)
+    val v    = 50
+    val size = SampleSize.quantile(v).toInt
+    val sk   = QuantileSketch(sort, size, rate = SampleSize.rate(size + 6 * math.sqrt(size).toLong, big.length))
+    assert(sk.rate < 0.3)
+    val blocks = splitBlocks(big, 8)
+    val s      = sketchAll(sk, blocks, seed = 4)
+    assert(s.size == size)
+    val sorted = big.sorted
+    for (q <- Seq(0.1, 0.25, 0.5, 0.75, 0.9)) {
+      val got  = QuantileSketch.quantileOf(s, sort, q).get.cells.head.asInstanceOf[NumCell].v
+      val rank = java.util.Arrays.binarySearch(sorted, got).toDouble / sorted.length
+      assert(math.abs(rank - q) <= 1.0 / (2 * v), f"q=$q rank=$rank%.4f") // ε = 1/(2V)
+    }
+    assert(sketchAll(sk, blocks, seed = 4) == s)
+    assert(sketchAll(sk, blocks, seed = 5) != s)
   }
 }
 

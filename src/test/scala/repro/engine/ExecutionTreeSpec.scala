@@ -89,6 +89,27 @@ class ExecutionTreeSpec extends SparkSpec {
     assert(a.counts.toSeq != c.counts.toSeq)
   }
 
+  test("a sampled quantile gives the same sample through run and runProgressive") {
+    val sk = QuantileSketch(Seq(SortCol("k", ascending = false)), 2000, rate = 0.02)
+    val a  = ExecutionTree.run(table, sk, seed = 5)
+    val b  = ExecutionTree.runProgressive(table, sk, seed = 5, aggregationIntervalMs = 1).finalValue
+    assert(a.size == 2000)
+    assert(a == b)
+    assert(QuantileSketch.quantileOf(a, sk.sortCols, 0.5) == QuantileSketch.quantileOf(b, sk.sortCols, 0.5))
+    assert(ExecutionTree.run(table, sk, seed = 6) != a)
+  }
+
+  test("a throwing leaf fails the progressive call promptly instead of hanging") {
+    import scala.concurrent.{Await, Future}
+    import scala.concurrent.duration._
+    val t0  = System.nanoTime()
+    val run = Future(ExecutionTree.runProgressive(table, FailingMoments("k"), aggregationIntervalMs = 50))(
+      scala.concurrent.ExecutionContext.global)
+    val e = intercept[org.apache.spark.SparkException](Await.result(run, 60.seconds))
+    assert(e.getMessage.contains("leaf failed on purpose"), e.getMessage)
+    assert((System.nanoTime() - t0) / 1e9 < 30, "the failure took too long to surface")
+  }
+
   test("empty table yields the zero summary") {
     import spark.implicits._
     val empty = ColumnStore.fromDataFrame("empty",
@@ -109,6 +130,18 @@ final case class SlowMoments(col: String) extends Sketch[MomentsSummary] {
   def summarize(b: repro.storage.ColumnarBlock, ctx: LeafCtx): MomentsSummary = {
     Thread.sleep(100); inner.summarize(b, ctx)
   }
+  def merge(a: MomentsSummary, b: MomentsSummary): MomentsSummary = inner.merge(a, b)
+}
+
+/** Moments sketch whose leaves throw — used to test that a failed job
+  * surfaces at the root.
+  */
+final case class FailingMoments(col: String) extends Sketch[MomentsSummary] {
+  private val inner = MomentsSketch(col)
+  def name = "failing.moments"
+  def zero = inner.zero
+  def summarize(b: repro.storage.ColumnarBlock, ctx: LeafCtx): MomentsSummary =
+    throw new IllegalStateException("leaf failed on purpose")
   def merge(a: MomentsSummary, b: MomentsSummary): MomentsSummary = inner.merge(a, b)
 }
 

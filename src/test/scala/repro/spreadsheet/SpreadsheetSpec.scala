@@ -3,7 +3,7 @@ package repro.spreadsheet
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core._
-import repro.engine.ComputationCache
+import repro.engine.{ComputationCache, ExecutionTree}
 import repro.harness.Datasets
 import repro.storage.CachedTable
 
@@ -99,6 +99,29 @@ class SpreadsheetSpec extends SparkSpec {
       s"jumped to $top, exact median $exactMedian")
   }
 
+  test("O4 ships at most 800 KB to the root at 250k rows, in one partial or two") {
+    val big = repro.storage.ColumnStore.fromDataFrame("flights-250k",
+      Datasets.flightsDf(spark, 250000).coalesce(2)).warm()
+    try {
+      val sort5 = Seq("DepDelay", "ArrDelay", "Distance", "TaxiIn", "TaxiOut").map(SortCol(_))
+      val limit = 800L * 1000
+      val viz   = sheet.quantileThenNext(big, sort5, 0.5)
+      assert(viz.result.rows.nonEmpty)
+      assert(viz.info.rootBytes <= limit, s"O4 root bytes ${viz.info.rootBytes}")
+      // The same quantile tree with its two leaves merged before they reach
+      // the root, and with the second leaf held back into a partial of its own.
+      val n    = sheet.defaultScrollV * sheet.defaultScrollV
+      val sk   = QuantileSketch(sort5, n, SampleSize.rate(n + 600L, big.numRows))
+      val next = sheet.nextItems(big, sort5, start = QuantileSketch.quantileOf(
+        ExecutionTree.run(big, sk, seed = 1), sort5, 0.5)).info.rootBytes
+      val one  = ExecutionTree.runProgressive(big, sk, seed = 1, aggregationIntervalMs = 60000)
+      val two  = ExecutionTree.runProgressive(big, DelayedLeaves(sk, 500), seed = 1)
+      assert(one.updates == 1 && two.updates == 2)
+      assert(one.finalValue == two.finalValue)
+      for (r <- Seq(one, two)) assert(r.totalBytes + next <= limit, s"${r.updates} partials: ${r.totalBytes} + $next bytes")
+    } finally big.drop()
+  }
+
   test("findText locates the first match in sort order") {
     val viz = sheet.findText(table, "Origin", "SFO", ExactMatch, caseSensitive = true,
       Seq(SortCol("Origin")))
@@ -146,4 +169,18 @@ class SpreadsheetSpec extends SparkSpec {
     assert(viz.info.firstPartialMs <= viz.info.totalMs)
     assert(viz.info.rootBytes > 0)
   }
+}
+
+/** Wraps a sketch so that every leaf but the first (block id 0) starts
+  * `delayMs` late — forces leaves to reach the root in separate partials.
+  * Top-level so Spark can serialize it without capturing the test suite.
+  */
+final case class DelayedLeaves[S](inner: Sketch[S], delayMs: Long) extends Sketch[S] {
+  def name = inner.name
+  def zero = inner.zero
+  def summarize(b: repro.storage.ColumnarBlock, ctx: LeafCtx): S = {
+    if (ctx.blockId != 0) Thread.sleep(delayMs)
+    inner.summarize(b, ctx)
+  }
+  def merge(a: S, b: S): S = inner.merge(a, b)
 }
