@@ -5,12 +5,13 @@ import repro.harness._
 
 /** T1 — §7.2.1 inline table. Paper (100M rows, one thread):
   * streaming 527 ms, sampling 197 ms, database system 5,830 ms.
-  * Shape to hold: sampling < streaming << database.
+  * Shape to hold: sampling < streaming << database, and the streaming
+  * vizketch's leaf loop within 1.5× of a hand-written loop.
   */
 class T1SingleThreadBench extends AnyFunSuite {
 
   test("T1: single-thread histogram — streaming vs sampling vs database") {
-    val rows = T1SingleThread.run(rows = 10_000_000)
+    val rows = T1SingleThread.run(rows = 10_000_000) :+ T1SingleThread.handLoop(rows = 10_000_000)
     println(T1SingleThread.render(rows))
     val t = rows.map(r => r.method -> r.timeMs).toMap
     assert(t("sampling") < t("streaming"),
@@ -21,26 +22,37 @@ class T1SingleThreadBench extends AnyFunSuite {
       s"database (${t("database system")}ms) should be well above streaming (${t("streaming")}ms)")
     assert(t("database system") > 5 * t("sampling"),
       s"database (${t("database system")}ms) should dwarf sampling (${t("sampling")}ms)")
+    assert(t("streaming") <= 1.5 * t("hand loop"),
+      s"streaming (${t("streaming")}ms) should be within 1.5x of the hand loop (${t("hand loop")}ms)")
   }
 }
 
 /** T4 — Fig. 7. Paper: streaming latency constant up to 16 shards (then
   * hyper-threading), sampling super-linear (latency falls as shards grow).
+  * The paper's machine has 16 cores; the claim is "constant up to the core
+  * count", so 1 shard is compared against min(16, cores) shards.
   */
 class T4ThreadScalabilityBench extends AnyFunSuite {
+
+  /** Cores to scale to: `SPARK_GRAFT_CPUS`, else the JVM's processor count. */
+  private val cores: Int =
+    sys.env.get("SPARK_GRAFT_CPUS").flatMap(_.trim.toIntOption).filter(_ > 0)
+      .getOrElse(Runtime.getRuntime.availableProcessors())
 
   test("T4: vizketch scalability across threads/shards") {
     val rows = T4ThreadScalability.run()
     println(T4ThreadScalability.render(rows))
     val byShards = rows.map(r => r.shards -> r).toMap
+    // The largest shard count on the ladder that fits the cores.
+    val top = rows.map(_.shards).filter(_ <= math.min(16, cores)).max
     // Streaming: near-constant up to the core count (allow 4x slack for a
     // shared machine; ideal is 1x).
-    assert(byShards(16).streamingMs < 4 * byShards(1).streamingMs,
-      s"streaming did not scale: 1→${byShards(1).streamingMs}ms, 16→${byShards(16).streamingMs}ms")
-    // Sampling: super-linear — 16× the data with the same total sample
-    // must not cost anywhere near 16× (noise allows up to 2× drift).
-    assert(byShards(16).samplingMs <= byShards(1).samplingMs * 2.0,
-      s"sampling did not super-scale: 1→${byShards(1).samplingMs}ms, 16→${byShards(16).samplingMs}ms")
+    assert(byShards(top).streamingMs < 4 * byShards(1).streamingMs,
+      s"streaming did not scale: 1→${byShards(1).streamingMs}ms, $top→${byShards(top).streamingMs}ms")
+    // Sampling: super-linear — top× the data with the same total sample
+    // must not cost anywhere near top× (noise allows up to 2× drift).
+    assert(byShards(top).samplingMs <= byShards(1).samplingMs * 2.0,
+      s"sampling did not super-scale: 1→${byShards(1).samplingMs}ms, $top→${byShards(top).samplingMs}ms")
   }
 }
 

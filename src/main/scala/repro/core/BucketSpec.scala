@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.storage.ColumnarBlock
+import repro.storage.{Column, ColumnarBlock, DoubleColumn, StringColumn}
 
 /** Maps a cell to a bucket index in [0, count), or -1 when out of range /
   * missing. Charts are parameterized by one of these per axis; the number
@@ -9,11 +9,85 @@ import repro.storage.ColumnarBlock
   */
 sealed trait BucketSpec extends Serializable {
   def count: Int
+  /** Bucket of cell `i` of `c`; -1 if not bucketable. */
+  def indexOf(c: Column, i: Int): Int
   /** Bucket of row `i` of column `col` in `block`; -1 if not bucketable. */
-  def indexOf(block: ColumnarBlock, col: String, i: Int): Int
+  final def indexOf(block: ColumnarBlock, col: String, i: Int): Int = indexOf(block.column(col), i)
+  /** These buckets bound to one block's column, resolved once per block. */
+  def bind(column: Column): BoundBuckets = new BoundBuckets.Cells(this, column)
   /** Human-readable label of bucket `b` (for rendered tables). */
   def label(b: Int): String
   def params: String
+}
+
+/** A `BucketSpec` bound to one column: `fill` buckets a whole batch of row
+  * ids in a loop specialised to the column type, so chart sketches do no
+  * column lookup, virtual cell call or string comparison per row.
+  */
+abstract class BoundBuckets {
+  /** `out(k)` = bucket of row `rows(k)` for k < n: in [0, count),
+    * `Outside` (-1) when outside the buckets, `Missing` (-2) when the cell
+    * is missing.
+    */
+  def fill(rows: Array[Int], n: Int, out: Array[Int]): Unit
+}
+
+object BoundBuckets {
+  val Outside = -1
+  val Missing = -2
+
+  /** Row at a time through the cell views: pairings without a faster path. */
+  private[core] final class Cells(spec: BucketSpec, column: Column) extends BoundBuckets {
+    def fill(rows: Array[Int], n: Int, out: Array[Int]): Unit = {
+      var k = 0
+      while (k < n) {
+        val i = rows(k)
+        out(k) = if (column.isMissing(i)) Missing else spec.indexOf(column, i)
+        k += 1
+      }
+    }
+  }
+
+  /** Numeric buckets over a double column's primitive array. */
+  private[core] final class Doubles(spec: NumericBuckets, values: Array[Double]) extends BoundBuckets {
+    def fill(rows: Array[Int], n: Int, out: Array[Int]): Unit = {
+      var k = 0
+      while (k < n) {
+        val x = values(rows(k))
+        out(k) = if (x.isNaN) Missing else spec.indexOf(x)
+        k += 1
+      }
+    }
+  }
+
+  /** Numeric buckets over a numeric column's primitive array. */
+  private[core] final class Numeric(spec: NumericBuckets, column: Column) extends BoundBuckets {
+    private var xs = new Array[Double](0)
+    def fill(rows: Array[Int], n: Int, out: Array[Int]): Unit = {
+      if (xs.length < n) xs = new Array[Double](n)
+      column.doubles(rows, n, xs)
+      var k = 0
+      while (k < n) {
+        val x = xs(k)
+        out(k) = if (x.isNaN) Missing else spec.indexOf(x)
+        k += 1
+      }
+    }
+  }
+
+  /** String buckets over dictionary codes: `table(code)` is the bucket of
+    * dictionary entry `code`, computed once per block.
+    */
+  private[core] final class Coded(table: Array[Int], codes: Array[Int]) extends BoundBuckets {
+    def fill(rows: Array[Int], n: Int, out: Array[Int]): Unit = {
+      var k = 0
+      while (k < n) {
+        val c = codes(rows(k))
+        out(k) = if (c < 0) Missing else table(c)
+        k += 1
+      }
+    }
+  }
 }
 
 /** B equi-sized numeric intervals over [min, max]; max is folded into the
@@ -28,19 +102,39 @@ final case class NumericBuckets(min: Double, max: Double, count: Int) extends Bu
     if (x.isNaN || x < min || x > max) -1
     else math.min(((x - min) / width).toInt, count - 1)
 
-  def indexOf(block: ColumnarBlock, col: String, i: Int): Int =
-    indexOf(block.column(col).asDouble(i))
+  def indexOf(c: Column, i: Int): Int = indexOf(c.asDouble(i))
+
+  /** Non-missing strings have no numeric value (-1), so they keep the cell path. */
+  override def bind(column: Column): BoundBuckets = column match {
+    case _: StringColumn => super.bind(column)
+    case d: DoubleColumn => new BoundBuckets.Doubles(this, d.values)
+    case _               => new BoundBuckets.Numeric(this, column)
+  }
 
   def boundary(b: Int): Double = min + b * width
   def label(b: Int): String    = f"[${boundary(b)}%.4g, ${boundary(b + 1)}%.4g)"
   def params: String           = f"num($min%.6g,$max%.6g,$count)"
 }
 
+/** Buckets over string values: a dictionary-encoded column is bound by
+  * bucketing each dictionary entry once (§5.4; Abadi et al., SIGMOD 2006).
+  */
+sealed trait StringBuckets extends BucketSpec {
+  def indexOf(s: String): Int
+
+  def indexOf(c: Column, i: Int): Int = indexOf(c.asString(i))
+
+  override def bind(column: Column): BoundBuckets = column match {
+    case s: StringColumn => new BoundBuckets.Coded(s.dict.map(v => indexOf(v)), s.codes)
+    case _               => super.bind(column)
+  }
+}
+
 /** Buckets of contiguous strings in alphabetical order, defined by sorted
   * left boundaries (paper App. B.1: used when a string column has more
   * than 50 distinct values). Bucket b covers [boundaries(b), boundaries(b+1)).
   */
-final case class StringBoundaryBuckets(boundaries: Array[String]) extends BucketSpec {
+final case class StringBoundaryBuckets(boundaries: Array[String]) extends StringBuckets {
   require(boundaries.nonEmpty, "need at least one boundary")
   def count: Int = boundaries.length
 
@@ -55,22 +149,16 @@ final case class StringBoundaryBuckets(boundaries: Array[String]) extends Bucket
     lo
   }
 
-  def indexOf(block: ColumnarBlock, col: String, i: Int): Int =
-    indexOf(block.column(col).asString(i))
-
   def label(b: Int): String = boundaries(b)
   def params: String        = s"strb(${boundaries.length}:${boundaries.headOption.getOrElse("")})"
 }
 
 /** One bucket per distinct value (≤ 50 distinct strings — paper App. B.1). */
-final case class ExactStringBuckets(values: Array[String]) extends BucketSpec {
+final case class ExactStringBuckets(values: Array[String]) extends StringBuckets {
   private val index = values.zipWithIndex.toMap
   def count: Int    = values.length
 
   def indexOf(s: String): Int = if (s == null) -1 else index.getOrElse(s, -1)
-
-  def indexOf(block: ColumnarBlock, col: String, i: Int): Int =
-    indexOf(block.column(col).asString(i))
 
   def label(b: Int): String = values(b)
   def params: String        = s"strx(${values.mkString(",")})"

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.storage.ColumnarBlock
+import repro.storage.{ColumnarBlock, RowBatches}
 
 /** Heat-map summary: a Bx×By matrix of bin counts (paper §4.3). */
 final case class HeatmapSummary(
@@ -35,18 +35,29 @@ final case class HeatmapSketch(
     bucketsX.count, bucketsY.count, 0L, 0L, rate)
 
   def summarize(block: ColumnarBlock, ctx: LeafCtx): HeatmapSummary = {
-    val by    = bucketsY.count
-    val cells = new Array[Long](bucketsX.count * by)
-    var miss  = 0L
-    var n     = 0L
-    val body = (i: Int) => {
-      n += 1
-      val x = bucketsX.indexOf(block, colX, i)
-      val y = bucketsY.indexOf(block, colY, i)
-      if (x < 0 || y < 0) miss += 1 else cells(x * by + y) += 1
+    val by     = bucketsY.count
+    val cells  = new Array[Long](bucketsX.count * by)
+    val boundX = bucketsX.bind(block.column(colX))
+    val boundY = bucketsY.bind(block.column(colY))
+    val xs     = new Array[Int](RowBatches.Capacity)
+    val ys     = new Array[Int](RowBatches.Capacity)
+    var miss   = 0L
+    var total  = 0L
+    val rb     = block.batches(rate, ctx.rng)
+    while (rb.next()) {
+      val n = rb.size
+      boundX.fill(rb.rows, n, xs)
+      boundY.fill(rb.rows, n, ys)
+      var k = 0
+      while (k < n) {
+        val x = xs(k)
+        val y = ys(k)
+        if (x < 0 || y < 0) miss += 1 else cells(x * by + y) += 1
+        k += 1
+      }
+      total += n
     }
-    if (rate >= 1.0) block.foreachRow(body) else block.foreachSampledRow(rate, ctx.rng)(body)
-    HeatmapSummary(cells, bucketsX.count, by, miss, n, rate)
+    HeatmapSummary(cells, bucketsX.count, by, miss, total, rate)
   }
 
   def merge(a: HeatmapSummary, b: HeatmapSummary): HeatmapSummary = {
@@ -81,22 +92,37 @@ final case class TrellisHeatmapSketch(
 
   def summarize(block: ColumnarBlock, ctx: LeafCtx): TrellisSummary = {
     // One pass: route each row to its group's heatmap accumulator.
-    val by    = bucketsY.count
-    val cells = Array.fill(groups.count)(new Array[Long](bucketsX.count * by))
-    val miss  = new Array[Long](groups.count)
-    val n     = new Array[Long](groups.count)
-    val body = (i: Int) => {
-      val g = groups.indexOf(block, colW, i)
-      if (g >= 0) {
-        n(g) += 1
-        val x = bucketsX.indexOf(block, colX, i)
-        val y = bucketsY.indexOf(block, colY, i)
-        if (x < 0 || y < 0) miss(g) += 1 else cells(g)(x * by + y) += 1
+    val by     = bucketsY.count
+    val plot   = bucketsX.count * by
+    val cells  = new Array[Long](groups.count * plot)
+    val miss   = new Array[Long](groups.count)
+    val total  = new Array[Long](groups.count)
+    val boundW = groups.bind(block.column(colW))
+    val boundX = bucketsX.bind(block.column(colX))
+    val boundY = bucketsY.bind(block.column(colY))
+    val ws     = new Array[Int](RowBatches.Capacity)
+    val xs     = new Array[Int](RowBatches.Capacity)
+    val ys     = new Array[Int](RowBatches.Capacity)
+    val rb     = block.batches(rate, ctx.rng)
+    while (rb.next()) {
+      val n = rb.size
+      boundW.fill(rb.rows, n, ws)
+      boundX.fill(rb.rows, n, xs)
+      boundY.fill(rb.rows, n, ys)
+      var k = 0
+      while (k < n) {
+        val g = ws(k)
+        if (g >= 0) {
+          total(g) += 1
+          val x = xs(k)
+          val y = ys(k)
+          if (x < 0 || y < 0) miss(g) += 1 else cells(g * plot + x * by + y) += 1
+        }
+        k += 1
       }
     }
-    if (rate >= 1.0) block.foreachRow(body) else block.foreachSampledRow(rate, ctx.rng)(body)
-    TrellisSummary(Array.tabulate(groups.count)(g =>
-      HeatmapSummary(cells(g), bucketsX.count, by, miss(g), n(g), rate)))
+    TrellisSummary(Array.tabulate(groups.count)(g => HeatmapSummary(
+      java.util.Arrays.copyOfRange(cells, g * plot, (g + 1) * plot), bucketsX.count, by, miss(g), total(g), rate)))
   }
 
   def merge(a: TrellisSummary, b: TrellisSummary): TrellisSummary = {

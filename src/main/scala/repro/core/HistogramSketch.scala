@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.storage.ColumnarBlock
+import repro.storage.{ColumnarBlock, RowBatches}
 
 /** Summary shared by histogram-family vizketches: per-bucket counts plus
   * sampling metadata. `merge` adds counts — vectors are tiny (O(screen))
@@ -40,64 +40,50 @@ object HistogramSummary {
   }
 }
 
-/** Streaming (exact) histogram vizketch — paper App. B.1 "Histogram
-  * (streaming)": scans every member row, no error.
+/** Histogram vizketch — paper App. B.1. At rate 1 it is the streaming
+  * (exact) histogram: it scans every member row, no error. At rate < 1 it
+  * is the sampled histogram of §4.3: with a target of O(V²·log(1/δ))
+  * samples the rendered bar heights are within half a pixel w.h.p.
+  * (Theorem 3), independent of the dataset size.
   */
-final case class StreamingHistogramSketch(col: String, buckets: BucketSpec)
+final case class HistogramSketch(col: String, buckets: BucketSpec, rate: Double = 1.0)
     extends Sketch[HistogramSummary] {
-  def name             = "histogram.streaming"
-  override def params  = s"$col,${buckets.params}"
-  def zero             = HistogramSummary.zero(buckets.count, 1.0)
+  require(rate > 0 && rate <= 1.0, s"rate must be in (0,1]: $rate")
+  def name            = if (rate >= 1.0) "histogram.streaming" else "histogram.sampled"
+  override def params =
+    if (rate >= 1.0) s"$col,${buckets.params}" else f"$col,${buckets.params},r=$rate%.8f"
+  def zero            = HistogramSummary.zero(buckets.count, rate)
 
   def summarize(block: ColumnarBlock, ctx: LeafCtx): HistogramSummary = {
-    val counts  = new Array[Long](buckets.count)
-    val c       = block.column(col)
-    var oor     = 0L
-    var miss    = 0L
+    // tally(b + 2) counts bucket id b, so missing (-2) and outside (-1)
+    // rows are tallied without a branch.
+    val tally   = new Array[Long](buckets.count + 2)
+    val bound   = buckets.bind(block.column(col))
+    val ids     = new Array[Int](RowBatches.Capacity)
     var sampled = 0L
-    block.foreachRow { i =>
-      sampled += 1
-      if (c.isMissing(i)) miss += 1
-      else {
-        val b = buckets.indexOf(block, col, i)
-        if (b >= 0) counts(b) += 1 else oor += 1
-      }
+    val rb      = block.batches(rate, ctx.rng)
+    while (rb.next()) {
+      val n = rb.size
+      bound.fill(rb.rows, n, ids)
+      var k = 0
+      while (k < n) { tally(ids(k) + 2) += 1; k += 1 }
+      sampled += n
     }
-    HistogramSummary(counts, oor, miss, sampled, 1.0)
+    HistogramSummary(java.util.Arrays.copyOfRange(tally, 2, tally.length), tally(1), tally(0), sampled, rate)
   }
 
   def merge(a: HistogramSummary, b: HistogramSummary) = HistogramSummary.add(a, b)
 }
 
-/** Sampled histogram vizketch — §4.3: with a target of O(V²·log(1/δ))
-  * samples the rendered bar heights are within half a pixel w.h.p.
-  * (Theorem 3), independent of the dataset size.
-  */
-final case class SampledHistogramSketch(col: String, buckets: BucketSpec, rate: Double)
-    extends Sketch[HistogramSummary] {
-  require(rate > 0 && rate <= 1.0, s"rate must be in (0,1]: $rate")
-  def name            = "histogram.sampled"
-  override def params = f"$col,${buckets.params},r=$rate%.8f"
-  def zero            = HistogramSummary.zero(buckets.count, rate)
+/** The exact histogram: `HistogramSketch` at rate 1. */
+object StreamingHistogramSketch {
+  def apply(col: String, buckets: BucketSpec): HistogramSketch = HistogramSketch(col, buckets)
+}
 
-  def summarize(block: ColumnarBlock, ctx: LeafCtx): HistogramSummary = {
-    val counts  = new Array[Long](buckets.count)
-    val c       = block.column(col)
-    var oor     = 0L
-    var miss    = 0L
-    var sampled = 0L
-    block.foreachSampledRow(rate, ctx.rng) { i =>
-      sampled += 1
-      if (c.isMissing(i)) miss += 1
-      else {
-        val b = buckets.indexOf(block, col, i)
-        if (b >= 0) counts(b) += 1 else oor += 1
-      }
-    }
-    HistogramSummary(counts, oor, miss, sampled, rate)
-  }
-
-  def merge(a: HistogramSummary, b: HistogramSummary) = HistogramSummary.add(a, b)
+/** The sampled histogram: `HistogramSketch` at a Bernoulli rate. */
+object SampledHistogramSketch {
+  def apply(col: String, buckets: BucketSpec, rate: Double): HistogramSketch =
+    HistogramSketch(col, buckets, rate)
 }
 
 /** CDF vizketch (App. B.1): a histogram with one bucket per horizontal
@@ -105,9 +91,10 @@ final case class SampledHistogramSketch(col: String, buckets: BucketSpec, rate: 
   * sample bound; exact when rate = 1.
   */
 object CdfSketch {
-  def apply(col: String, min: Double, max: Double, hPixels: Int, rate: Double): Sketch[HistogramSummary] =
-    if (rate >= 1.0) StreamingHistogramSketch(col, NumericBuckets(min, max, hPixels))
-    else SampledHistogramSketch(col, NumericBuckets(min, max, hPixels), rate)
+  def apply(col: String, min: Double, max: Double, hPixels: Int, rate: Double): Sketch[HistogramSummary] = {
+    val onePerPixel = NumericBuckets(min, max, hPixels)
+    HistogramSketch(col, onePerPixel, math.min(rate, 1.0))
+  }
 }
 
 /** Rendering: summary → pixels, the graphics half of a vizketch (§4.2). */

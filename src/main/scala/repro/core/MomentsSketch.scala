@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.storage.ColumnarBlock
+import repro.storage.{ColumnarBlock, RowBatches}
 
 /** Column summary (App. B.3 "Moments"): row count, missing count, min,
   * max, and raw power sums up to order K. Used as the *preparation phase*
@@ -36,22 +36,29 @@ final case class MomentsSketch(col: String, order: Int = 2) extends Sketch[Momen
 
   def summarize(block: ColumnarBlock, ctx: LeafCtx): MomentsSummary = {
     val c    = block.column(col)
+    val xs   = new Array[Double](RowBatches.Capacity)
     var n    = 0L
     var miss = 0L
     var mn   = Double.PositiveInfinity
     var mx   = Double.NegativeInfinity
     val sums = new Array[Double](order)
-    block.foreachRow { i =>
-      n += 1
-      val x = c.asDouble(i)
-      if (x.isNaN) miss += 1
-      else {
-        if (x < mn) mn = x
-        if (x > mx) mx = x
-        var p = x
-        var j = 0
-        while (j < order) { sums(j) += p; p *= x; j += 1 }
+    val rb   = block.batches
+    while (rb.next()) {
+      c.doubles(rb.rows, rb.size, xs)
+      var k = 0
+      while (k < rb.size) {
+        val x = xs(k)
+        if (x.isNaN) miss += 1
+        else {
+          if (x < mn) mn = x
+          if (x > mx) mx = x
+          var p = x
+          var j = 0
+          while (j < order) { sums(j) += p; p *= x; j += 1 }
+        }
+        k += 1
       }
+      n += rb.size
     }
     MomentsSummary(n, miss, mn, mx, sums)
   }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.storage.ColumnarBlock
+import repro.storage.{ColumnarBlock, RowBatches}
 
 /** Stacked-histogram summary (paper App. B.1): Bx bar counts followed by
   * Bx×By subdivision counts, flattened. The normalized variant renders
@@ -40,23 +40,34 @@ final case class StackedHistogramSketch(
     new Array[Long](bucketsX.count * bucketsY.count), 0L, 0L, rate)
 
   def summarize(block: ColumnarBlock, ctx: LeafCtx): StackedHistogramSummary = {
-    val by    = bucketsY.count
-    val bars  = new Array[Long](bucketsX.count)
-    val cells = new Array[Long](bucketsX.count * by)
-    var miss  = 0L
-    var n     = 0L
-    val body = (i: Int) => {
-      n += 1
-      val x = bucketsX.indexOf(block, colX, i)
-      if (x < 0) miss += 1
-      else {
-        bars(x) += 1
-        val y = bucketsY.indexOf(block, colY, i)
-        if (y >= 0) cells(x * by + y) += 1
+    val by     = bucketsY.count
+    val bars   = new Array[Long](bucketsX.count)
+    val cells  = new Array[Long](bucketsX.count * by)
+    val boundX = bucketsX.bind(block.column(colX))
+    val boundY = bucketsY.bind(block.column(colY))
+    val xs     = new Array[Int](RowBatches.Capacity)
+    val ys     = new Array[Int](RowBatches.Capacity)
+    var miss   = 0L
+    var total  = 0L
+    val rb     = block.batches(rate, ctx.rng)
+    while (rb.next()) {
+      val n = rb.size
+      boundX.fill(rb.rows, n, xs)
+      boundY.fill(rb.rows, n, ys)
+      var k = 0
+      while (k < n) {
+        val x = xs(k)
+        if (x < 0) miss += 1
+        else {
+          bars(x) += 1
+          val y = ys(k)
+          if (y >= 0) cells(x * by + y) += 1
+        }
+        k += 1
       }
+      total += n
     }
-    if (rate >= 1.0) block.foreachRow(body) else block.foreachSampledRow(rate, ctx.rng)(body)
-    StackedHistogramSummary(bars, cells, miss, n, rate)
+    StackedHistogramSummary(bars, cells, miss, total, rate)
   }
 
   def merge(a: StackedHistogramSummary, b: StackedHistogramSummary): StackedHistogramSummary = {

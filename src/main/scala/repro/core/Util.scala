@@ -7,8 +7,10 @@ import java.io.{ByteArrayOutputStream, ObjectOutputStream, OutputStream}
   * Vizketches must be deterministic in (seed, blockId) so that redo-log
   * replay after a failure reproduces bit-identical results (§5.8 of the
   * paper: "the log includes the seed used for randomization").
+  * As a `RandomGenerator` it also inherits Java's ziggurat samplers, e.g.
+  * `nextExponential()`, which sampled scans use for their geometric skips.
   */
-final class SplitMix(seed: Long) extends Serializable {
+final class SplitMix(seed: Long) extends java.util.random.RandomGenerator with Serializable {
   private var state: Long = seed
 
   def nextLong(): Long = {
@@ -20,10 +22,10 @@ final class SplitMix(seed: Long) extends Serializable {
   }
 
   /** Uniform double in [0, 1). */
-  def nextDouble(): Double = (nextLong() >>> 11) * 1.1102230246251565e-16
+  override def nextDouble(): Double = (nextLong() >>> 11) * 1.1102230246251565e-16
 
   /** Uniform int in [0, n). */
-  def nextInt(n: Int): Int = {
+  override def nextInt(n: Int): Int = {
     require(n > 0, s"nextInt bound must be positive: $n")
     (((nextLong() >>> 33) * n) >>> 31).toInt
   }

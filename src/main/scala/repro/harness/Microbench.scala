@@ -7,31 +7,61 @@ import repro.storage.ColumnarBlock
 
 /** T1 — §7.2.1 inline table: single-thread histogram computation,
   * streaming vizketch vs sampling vizketch vs an in-memory database
-  * (DuckDB stands in for the paper's unnamed commercial system).
+  * (DuckDB stands in for the paper's unnamed commercial system), plus a
+  * plain loop over the same array and buckets: the floor the streaming
+  * vizketch's leaf loop is measured against.
   */
 object T1SingleThread {
 
   final case class Row(method: String, timeMs: Double)
 
-  def run(rows: Int = 10_000_000, buckets: Int = 100, v: Int = 200,
-          reps: Int = 5): Seq[Row] = {
+  /** The T1 column (one block of doubles), its range and numeric buckets. */
+  private def setup(rows: Int, buckets: Int): (IndexedSeq[ColumnarBlock], MomentsSummary, NumericBuckets) = {
     val blocks = Datasets.numericShards(1, rows)
     val m      = LocalWorker.run(blocks, MomentsSketch("x"), 1)
-    val bk     = NumericBuckets(m.min, m.max, buckets)
+    (blocks, m, NumericBuckets(m.min, m.max, buckets))
+  }
+
+  def run(rows: Int = 10_000_000, buckets: Int = 100, v: Int = 200,
+          reps: Int = 5): Seq[Row] = {
+    val (blocks, m, bk) = setup(rows, buckets)
 
     val streamingMs = LocalWorker.timeMs(blocks, StreamingHistogramSketch("x", bk), 1, reps = reps)
 
     val rate      = SampleSize.rate(SampleSize.histogram(v), rows.toLong)
     val samplingMs = LocalWorker.timeMs(blocks, SampledHistogramSketch("x", bk, rate), 1, reps = reps)
 
-    val conn = DuckDbBaseline.connectionWithData(
-      blocks.head.column("x").asInstanceOf[repro.storage.DoubleColumn].values)
+    val conn = DuckDbBaseline.connectionWithData(values(blocks))
     val dbMs =
       try { DuckDbBaseline.setThreads(conn, 1); DuckDbBaseline.histogramMs(conn, m.min, m.max, buckets, reps = reps) }
       finally conn.close()
 
     Seq(Row("streaming", streamingMs), Row("sampling", samplingMs), Row("database system", dbMs))
   }
+
+  /** The streaming histogram's work as one plain loop over the same column
+    * and buckets as `run`: the floor for the vizketch's leaf loop. Timed
+    * like `LocalWorker.timeMs` (minimum of `reps` after two warm-ups).
+    */
+  def handLoop(rows: Int = 10_000_000, buckets: Int = 100, reps: Int = 5): Row = {
+    val (blocks, _, bk) = setup(rows, buckets)
+    val xs              = values(blocks)
+    val counts          = new Array[Long](bk.count)
+    val ms = (0 until reps + 2).map { _ =>
+      val t0 = System.nanoTime()
+      var i  = 0
+      while (i < xs.length) {
+        val b = bk.indexOf(xs(i))
+        if (b >= 0) counts(b) += 1
+        i += 1
+      }
+      (System.nanoTime() - t0) / 1e6
+    }
+    Row("hand loop", ms.drop(2).min)
+  }
+
+  private def values(blocks: IndexedSeq[ColumnarBlock]): Array[Double] =
+    blocks.head.column("x").asInstanceOf[repro.storage.DoubleColumn].values
 
   def render(rows: Seq[Row]): String =
     TableText.render("T1 (§7.2.1): single-thread histogram, time (ms)",

@@ -68,9 +68,7 @@ final class Spreadsheet(val cache: ComputationCache, val defaultV: Int = 200,
     val (m, prepMs) = timed(range(t, col))
     val bk          = NumericBuckets(m.min, m.max, buckets)
     val rate        = if (sampled) SampleSize.rate(SampleSize.histogram(vv), m.present) else 1.0
-    val sk: Sketch[HistogramSummary] =
-      if (rate >= 1.0) StreamingHistogramSketch(col, bk) else SampledHistogramSketch(col, bk, rate)
-    progressive(t, sk, seed, prepMs)
+    progressive(t, HistogramSketch(col, bk, rate), seed, prepMs)
   }
 
   /** Range + (histogram & cdf) in one render tree — operation O5. */
@@ -82,10 +80,8 @@ final class Spreadsheet(val cache: ComputationCache, val defaultV: Int = 200,
     val (m, prepMs) = timed(range(t, col))
     val histRate    = if (sampled) SampleSize.rate(SampleSize.histogram(vv), m.present) else 1.0
     val cdfRate     = if (sampled) SampleSize.rate(SampleSize.cdf(vv), m.present) else 1.0
-    val hist: Sketch[HistogramSummary] =
-      if (histRate >= 1.0) StreamingHistogramSketch(col, NumericBuckets(m.min, m.max, buckets))
-      else SampledHistogramSketch(col, NumericBuckets(m.min, m.max, buckets), histRate)
-    val sk = ZipSketch(hist, CdfSketch(col, m.min, m.max, hh, cdfRate))
+    val hist        = HistogramSketch(col, NumericBuckets(m.min, m.max, buckets), histRate)
+    val sk          = ZipSketch(hist, CdfSketch(col, m.min, m.max, hh, cdfRate))
     progressive(t, sk, seed, prepMs)
   }
 

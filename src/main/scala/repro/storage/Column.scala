@@ -20,6 +20,11 @@ sealed trait Column extends Serializable {
     */
   def asDouble(i: Int): Double
 
+  /** `asDouble` of a batch: `out(k) = asDouble(rows(k))` for k < n, in one
+    * loop over the primitive array.
+    */
+  def doubles(rows: Array[Int], n: Int, out: Array[Double]): Unit
+
   /** String view; null when missing. */
   def asString(i: Int): String
 }
@@ -29,6 +34,11 @@ final case class DoubleColumn(values: Array[Double]) extends Column {
   def isMissing(i: Int): Boolean = values(i).isNaN
   def asDouble(i: Int): Double   = values(i)
   def asString(i: Int): String   = if (isMissing(i)) null else values(i).toString
+
+  def doubles(rows: Array[Int], n: Int, out: Array[Double]): Unit = {
+    var k = 0
+    while (k < n) { out(k) = values(rows(k)); k += 1 }
+  }
 }
 
 final case class LongColumn(values: Array[Long], nulls: java.util.BitSet) extends Column {
@@ -36,6 +46,16 @@ final case class LongColumn(values: Array[Long], nulls: java.util.BitSet) extend
   def isMissing(i: Int): Boolean = nulls != null && nulls.get(i)
   def asDouble(i: Int): Double   = if (isMissing(i)) Double.NaN else values(i).toDouble
   def asString(i: Int): String   = if (isMissing(i)) null else values(i).toString
+
+  def doubles(rows: Array[Int], n: Int, out: Array[Double]): Unit = {
+    var k = 0
+    if (nulls == null) while (k < n) { out(k) = values(rows(k)).toDouble; k += 1 }
+    else while (k < n) {
+      val i = rows(k)
+      out(k) = if (nulls.get(i)) Double.NaN else values(i).toDouble
+      k += 1
+    }
+  }
 }
 
 /** Epoch days; rendered back as ISO dates. */
@@ -45,6 +65,16 @@ final case class DateColumn(days: Array[Int], nulls: java.util.BitSet) extends C
   def asDouble(i: Int): Double   = if (isMissing(i)) Double.NaN else days(i).toDouble
   def asString(i: Int): String =
     if (isMissing(i)) null else java.time.LocalDate.ofEpochDay(days(i).toLong).toString
+
+  def doubles(rows: Array[Int], n: Int, out: Array[Double]): Unit = {
+    var k = 0
+    if (nulls == null) while (k < n) { out(k) = days(rows(k)).toDouble; k += 1 }
+    else while (k < n) {
+      val i = rows(k)
+      out(k) = if (nulls.get(i)) Double.NaN else days(i).toDouble
+      k += 1
+    }
+  }
 }
 
 /** Dictionary-encoded strings; `codes(i) == -1` means missing. */
@@ -53,4 +83,7 @@ final case class StringColumn(dict: Array[String], codes: Array[Int]) extends Co
   def isMissing(i: Int): Boolean = codes(i) < 0
   def asDouble(i: Int): Double   = Double.NaN
   def asString(i: Int): String   = if (codes(i) < 0) null else dict(codes(i))
+
+  def doubles(rows: Array[Int], n: Int, out: Array[Double]): Unit =
+    java.util.Arrays.fill(out, 0, n, Double.NaN)
 }

@@ -20,23 +20,30 @@ final case class ColumnarBlock(
   /** Member row count (i.e. the filtered size, not the physical size). */
   def rowCount: Int = membership.size
 
+  /** Cursor over member row ids, a batch at a time (see `RowBatches`). */
+  def batches: RowBatches = membership.batches
+
+  /** Cursor over a Bernoulli(rate) sample of member row ids; deterministic
+    * in rng, every member when rate ≥ 1.
+    */
+  def batches(rate: Double, rng: SplitMix): RowBatches = membership.batches(rate, rng)
+
   /** Visit every member row. */
-  def foreachRow(f: Int => Unit): Unit = {
-    val it = membership.iterator
-    while (it.hasNext) f(it.next())
-  }
+  def foreachRow(f: Int => Unit): Unit = foreachSampledRow(1.0, null)(f)
 
   /** Visit a Bernoulli(rate) sample of member rows; deterministic in rng. */
-  def foreachSampledRow(rate: Double, rng: SplitMix)(f: Int => Unit): Unit =
-    if (rate >= 1.0) foreachRow(f)
-    else {
-      val it = membership.sample(rate, rng)
-      while (it.hasNext) f(it.next())
+  def foreachSampledRow(rate: Double, rng: SplitMix)(f: Int => Unit): Unit = {
+    val rb = batches(rate, rng)
+    while (rb.next()) {
+      val rows = rb.rows
+      var k    = 0
+      while (k < rb.size) { f(rows(k)); k += 1 }
     }
+  }
 
-  /** View of this block filtered by `pred` (restricted to current members). */
+  /** View of this block filtered by `pred` (evaluated on current members only). */
   def filtered(pred: Int => Boolean): ColumnarBlock =
-    copy(membership = MembershipSet.from(numRows, i => membership.contains(i) && pred(i)))
+    copy(membership = MembershipSet.from(membership, pred))
 
   /** Block with an extra derived double column (paper §5.6 user-defined maps). */
   def withDerived(name: String, fn: (ColumnarBlock, Int) => Double): ColumnarBlock = {

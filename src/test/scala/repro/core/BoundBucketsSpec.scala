@@ -1,0 +1,192 @@
+package repro.core
+
+import org.scalacheck.{Gen, Prop}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.TestData
+import repro.storage._
+
+/** `BucketSpec.bind(column).fill` against the row-at-a-time reference
+  * (-2 when the cell is missing, else `indexOf(block, col, i)`), for every
+  * pairing of bucket spec and column type over full, dense and sparse
+  * membership; and the chart sketches built on it against brute-force
+  * counts over the member rows of filtered blocks.
+  */
+class BoundBucketsSpec extends AnyFunSuite {
+
+  private def check(prop: Prop): Unit = {
+    val result = org.scalacheck.Test.check(
+      org.scalacheck.Test.Parameters.default.withMinSuccessfulTests(30), prop)
+    assert(result.passed, result.status.toString)
+  }
+
+  private val Dict = Array("ATL", "BOS", "DEN", "JFK", "LAX", "ORD", "SFO", "SJC", "aa", "zz")
+
+  private def nulls(n: Int, rng: SplitMix): java.util.BitSet = {
+    val b = new java.util.BitSet(n)
+    (0 until n).foreach(i => if (rng.nextInt(6) == 0) b.set(i))
+    b
+  }
+
+  /** A column of `n` cells of the given kind; numeric values lie on a grid
+    * around [0, 20] so they hit both ends of the numeric buckets.
+    */
+  private def column(kind: Int, n: Int, seed: Long): Column = {
+    val rng = new SplitMix(seed)
+    def grid(): Int = rng.nextInt(30) - 5
+    kind match {
+      case 0 => DoubleColumn(Array.fill(n)(if (rng.nextInt(6) == 0) Double.NaN else grid() * 0.75))
+      case 1 => LongColumn(Array.fill(n)(grid().toLong), null)
+      case 2 => LongColumn(Array.fill(n)(grid().toLong), nulls(n, rng))
+      case 3 => DateColumn(Array.fill(n)(grid()), nulls(n, rng))
+      case _ => StringColumn(Dict, Array.fill(n)(rng.nextInt(Dict.length + 2) - 2 max -1))
+    }
+  }
+
+  private val specs: Seq[BucketSpec] = Seq(
+    NumericBuckets(0, 20, 7),
+    NumericBuckets(-3, 9, 1),
+    StringBoundaryBuckets(Array("B", "JFK", "P", "a")),
+    StringBoundaryBuckets(Array("0", "5")),
+    ExactStringBuckets(Array("BOS", "SFO", "zz", "MIA", "1")))
+
+  /** Full, dense and sparse membership over `n` rows. */
+  private def memberships(n: Int, seed: Long): Seq[MembershipSet] = {
+    val rng   = new SplitMix(seed)
+    val words = new Array[Long]((n + 63) / 64)
+    (0 until n).foreach(i => if (rng.nextInt(10) < 6) words(i >>> 6) |= 1L << i)
+    val sparse = (0 until n).filter(_ => rng.nextInt(10) == 0).toArray
+    Seq(MembershipSet.full(n), new DenseMembership(n, words), new SparseMembership(n, sparse))
+  }
+
+  private val caseGen = for {
+    n    <- Gen.oneOf(Gen.choose(0, 200), Gen.choose(RowBatches.Capacity - 2, 2 * RowBatches.Capacity + 3))
+    seed <- Gen.choose(0L, 1L << 40)
+  } yield (n, seed)
+
+  test("fill equals the row-at-a-time reference for every pairing and membership") {
+    check(Prop.forAll(caseGen) { case (n, seed) =>
+      val checks = for {
+        kind <- 0 to 4
+        c     = column(kind, n, seed + kind)
+        spec <- specs
+        m    <- memberships(n, seed)
+      } yield {
+        val block = ColumnarBlock(Map("c" -> c), n, m)
+        val bound = spec.bind(block.column("c"))
+        val out   = new Array[Int](RowBatches.Capacity)
+        val rb    = block.batches
+        var ok    = true
+        while (rb.next()) {
+          bound.fill(rb.rows, rb.size, out)
+          (0 until rb.size).foreach { k =>
+            val i   = rb.rows(k)
+            val ref = if (c.isMissing(i)) BoundBuckets.Missing else spec.indexOf(block, "c", i)
+            if (out(k) != ref) ok = false
+          }
+        }
+        ok
+      }
+      checks.forall(identity)
+    })
+  }
+
+  test("every spec and column kind pairing is exercised, with all three outcomes") {
+    val n = 3000
+    for (spec <- Seq(specs.head, specs.last); kind <- Seq(0, 2, 3, 4)) {
+      val c   = column(kind, n, kind)
+      val out = new Array[Int](n)
+      spec.bind(c).fill(Array.range(0, n), n, out)
+      val seen = out.map(b => if (b >= 0) 0 else b).toSet
+      val want = if (spec.isInstanceOf[NumericBuckets] == (kind < 4)) Set(-2, -1, 0) else Set(-2, -1)
+      assert(want.subsetOf(seen), s"${spec.params} on kind $kind saw $seen")
+    }
+    // The numeric maximum folds into the last bucket; outside [min, max] is -1.
+    val bk  = NumericBuckets(0, 20, 7)
+    val out = new Array[Int](4)
+    bk.bind(DoubleColumn(Array(20.0, 0.0, 20.5, -0.25))).fill(Array(0, 1, 2, 3), 4, out)
+    assert(out.toSeq == Seq(6, 0, -1, -1))
+  }
+
+  // ---------- chart sketches over filtered blocks ----------
+
+  private val block   = TestData.mixedBlock(9000, 12)
+  private val denseB  = block.filtered(i => i % 3 != 0)
+  private val sparseB = block.filtered(i => i % 11 == 4)
+  private val xb      = NumericBuckets(0, 8, 9)
+  private val lb      = NumericBuckets(-2, 3, 5)
+  private val db      = NumericBuckets(18000, 18020, 6)
+  private val sb      = ExactStringBuckets(Array("AA", "DL", "UA", "WN"))
+  private val gb      = StringBoundaryBuckets(Array("B", "UA"))
+
+  private def members(b: ColumnarBlock): Vector[Int] = b.membership.iterator.toVector
+  private def at(b: ColumnarBlock, spec: BucketSpec, col: String, i: Int): Int = spec.indexOf(b, col, i)
+
+  private def filteredBlocks = {
+    assert(denseB.membership.isInstanceOf[DenseMembership])
+    assert(sparseB.membership.isInstanceOf[SparseMembership])
+    Seq("dense" -> denseB, "sparse" -> sparseB)
+  }
+
+  test("streaming histogram on filtered blocks equals a brute-force count") {
+    for ((name, b) <- filteredBlocks; (col, bk) <- Seq("x" -> xb, "l" -> lb, "d" -> db, "s" -> sb)) {
+      val got    = HistogramSketch(col, bk).summarize(b, LeafCtx(0, 0))
+      val rows   = members(b)
+      val c      = b.column(col)
+      val counts = (0 until bk.count).map(k => rows.count(i => !c.isMissing(i) && at(b, bk, col, i) == k).toLong)
+      assert(got.counts.toSeq == counts, s"$name $col")
+      assert(got.missing == rows.count(c.isMissing).toLong, s"$name $col")
+      assert(got.outOfRange == rows.count(i => !c.isMissing(i) && at(b, bk, col, i) < 0).toLong, s"$name $col")
+      assert(got.sampled == rows.size.toLong)
+    }
+  }
+
+  test("streaming stacked histogram on filtered blocks equals a brute-force count") {
+    for ((name, b) <- filteredBlocks) {
+      val got  = StackedHistogramSketch("x", xb, "s", sb).summarize(b, LeafCtx(0, 0))
+      val rows = members(b)
+      for (x <- 0 until xb.count) {
+        assert(got.barCounts(x) == rows.count(i => at(b, xb, "x", i) == x).toLong, s"$name bar $x")
+        for (y <- 0 until sb.count)
+          assert(got.cell(x, y) == rows.count(i => at(b, xb, "x", i) == x && at(b, sb, "s", i) == y).toLong)
+      }
+      assert(got.missing == rows.count(i => at(b, xb, "x", i) < 0).toLong)
+      assert(got.sampled == rows.size.toLong)
+    }
+  }
+
+  test("streaming heatmap and trellis on filtered blocks equal a brute-force count") {
+    for ((name, b) <- filteredBlocks) {
+      val rows = members(b)
+      val hm   = HeatmapSketch("x", xb, "l", lb).summarize(b, LeafCtx(0, 0))
+      for (x <- 0 until xb.count; y <- 0 until lb.count)
+        assert(hm.cell(x, y) == rows.count(i => at(b, xb, "x", i) == x && at(b, lb, "l", i) == y).toLong,
+          s"$name heatmap ($x,$y)")
+      assert(hm.missing == rows.count(i => at(b, xb, "x", i) < 0 || at(b, lb, "l", i) < 0).toLong)
+      assert(hm.sampled == rows.size.toLong)
+
+      val tr = TrellisHeatmapSketch("s", gb, "d", db, "x", xb).summarize(b, LeafCtx(0, 0))
+      for (g <- 0 until gb.count) {
+        val inG = rows.filter(i => at(b, gb, "s", i) == g)
+        val p   = tr.plots(g)
+        assert(p.sampled == inG.size.toLong, s"$name trellis group $g")
+        assert(p.missing == inG.count(i => at(b, db, "d", i) < 0 || at(b, xb, "x", i) < 0).toLong)
+        for (x <- 0 until db.count; y <- 0 until xb.count)
+          assert(p.cell(x, y) == inG.count(i => at(b, db, "d", i) == x && at(b, xb, "x", i) == y).toLong)
+      }
+    }
+  }
+
+  test("moments on filtered blocks equal a brute-force pass over the member rows") {
+    for ((name, b) <- filteredBlocks; col <- Seq("x", "l", "d", "s")) {
+      val got  = MomentsSketch(col, 3).summarize(b, LeafCtx(0, 0))
+      val c    = b.column(col)
+      val xs   = members(b).map(c.asDouble)
+      val vals = xs.filterNot(_.isNaN)
+      assert(got.count == xs.size.toLong && got.missing == (xs.size - vals.size).toLong, s"$name $col")
+      assert(got.min == vals.foldLeft(Double.PositiveInfinity)(math.min), s"$name $col")
+      assert(got.max == vals.foldLeft(Double.NegativeInfinity)(math.max), s"$name $col")
+      for (j <- 1 to 3)
+        assert(got.powerSums(j - 1) == vals.foldLeft(0.0)((s, v) => s + math.pow(v, j)), s"$name $col K=$j")
+    }
+  }
+}

@@ -95,4 +95,101 @@ class MembershipSetSpec extends AnyFunSuite {
     assert(m.iterator.isEmpty)
     assert(m.sample(0.5, new SplitMix(1)).isEmpty)
   }
+
+  // ---------- batch cursor ----------
+
+  private val B = RowBatches.Capacity
+
+  /** Every row id the cursor yields, batch by batch. */
+  private def drain(rb: RowBatches): Vector[Int] = {
+    val out = Vector.newBuilder[Int]
+    while (rb.next()) {
+      assert(rb.size > 0 && rb.size <= B)
+      (0 until rb.size).foreach(k => out += rb.rows(k))
+    }
+    out.result()
+  }
+
+  /** A bitmap membership whose members are exactly `members`. */
+  private def dense(universe: Int, members: Seq[Int]): MembershipSet = {
+    val words = new Array[Long]((universe + 63) / 64)
+    members.foreach(i => words(i >>> 6) |= 1L << i)
+    new DenseMembership(universe, words)
+  }
+
+  /** (name, set, its members) for each representation with `count` members. */
+  private def representations(count: Int): Seq[(String, MembershipSet, Vector[Int])] = {
+    val even  = (0 until count).map(_ * 2).toVector
+    val every = (0 until count).map(_ * 7 + 3).toVector
+    Seq(
+      ("full", MembershipSet.full(count), (0 until count).toVector),
+      ("dense", dense(2 * count + 1, even), even),
+      ("sparse", new SparseMembership(7 * count + 5, every.toArray), every))
+  }
+
+  test("at rate 1 the cursor yields exactly the members, around batch boundaries") {
+    for (count <- Seq(0, 1, B - 1, B, B + 1, 3 * B + 17); (name, m, members) <- representations(count)) {
+      assert(drain(m.batches) == members, s"$name count=$count")
+      assert(drain(m.batches(1.0, new SplitMix(4))) == members, s"$name count=$count (rate 1)")
+      assert(m.iterator.toVector == members, s"$name count=$count iterator")
+      assert(m.size == count)
+    }
+    val empty = MembershipSet.from(100, _ => false)
+    assert(drain(empty.batches).isEmpty && drain(empty.batches(0.5, new SplitMix(1))).isEmpty)
+  }
+
+  /** Large sets of each representation for the sampling statistics. */
+  private val sampledSets = Seq(
+    ("full", MembershipSet.full(200000)),
+    ("dense", MembershipSet.from(300000, (i: Int) => i % 3 != 1)),
+    ("sparse", MembershipSet.from(2000000, (i: Int) => i % 20 == 7)))
+
+  test("sampled cursors yield members only, in increasing order, deterministic in the seed") {
+    assert(sampledSets.map(_._2.getClass.getSimpleName) ==
+      Seq("FullMembership", "DenseMembership", "SparseMembership"))
+    for ((name, m) <- sampledSets; rate <- Seq(0.05, 0.3, 0.9)) {
+      val s = drain(m.batches(rate, new SplitMix(31)))
+      assert(s.forall(m.contains), s"$name rate=$rate: non-member sampled")
+      assert(s.zip(s.drop(1)).forall { case (a, b) => a < b }, s"$name rate=$rate: not increasing")
+      assert(s == drain(m.batches(rate, new SplitMix(31))), s"$name rate=$rate: not deterministic")
+      assert(s != drain(m.batches(rate, new SplitMix(32))), s"$name rate=$rate: ignores the seed")
+      assert(s == m.sample(rate, new SplitMix(31)).toVector, s"$name rate=$rate: sample differs")
+    }
+  }
+
+  test("sampled cursors hit rate·size members, evenly over the two halves") {
+    for ((name, m) <- sampledSets; rate <- Seq(0.05, 0.3, 0.9)) {
+      val s     = drain(m.batches(rate, new SplitMix(77)))
+      val sigma = math.sqrt(m.size * rate * (1 - rate))
+      assert(math.abs(s.size - m.size * rate) < 4 * sigma,
+        s"$name rate=$rate: ${s.size} hits, expected ${m.size * rate} ± ${4 * sigma}")
+      val members = m.iterator.toVector
+      val mid     = members(members.size / 2)
+      val (lo, hi) = s.partition(_ < mid)
+      assert(math.abs(lo.size - hi.size) < 5 * sigma,
+        s"$name rate=$rate: halves ${lo.size} vs ${hi.size}")
+    }
+  }
+
+  test("mean geometric skip is 1/rate") {
+    for (rate <- Seq(0.005, 0.05, 0.3, 0.9)) {
+      val rng   = new SplitMix(5)
+      val draws = 100000
+      val mean  = (0 until draws).map(_ => MembershipSet.skip(rate, rng).toDouble).sum / draws
+      val sigma = math.sqrt((1 - rate) / (rate * rate) / draws)
+      assert(math.abs(mean - 1 / rate) < 4 * sigma, s"rate=$rate: mean skip $mean, expected ${1 / rate}")
+    }
+  }
+
+  test("from(parent, pred) equals filtering the universe") {
+    for ((name, m) <- sampledSets) {
+      val pred  = (i: Int) => i % 5 != 2
+      var calls = 0
+      val got   = MembershipSet.from(m, (i: Int) => { calls += 1; pred(i) })
+      val ref   = MembershipSet.from(m.universe, i => m.contains(i) && pred(i))
+      assert(calls == m.size, s"$name: predicate tested on non-members")
+      assert(got.getClass == ref.getClass && got.size == ref.size, name)
+      assert(got.iterator.sameElements(ref.iterator), name)
+    }
+  }
 }
