@@ -1,9 +1,12 @@
 package repro.engine
 
+import org.apache.spark.SparkException
 import org.apache.spark.sql.SparkSession
+import repro.core.Sketch
 import repro.storage.{CachedTable, RowFn, RowPred}
 import scala.collection.concurrent.TrieMap
 import scala.collection.mutable
+import scala.reflect.ClassTag
 
 /** Operations recorded in the root's redo log (§5.7/§5.8). Tables are
   * identified by deterministic ids; randomized sketches record their seed
@@ -23,8 +26,12 @@ final case class DeriveOp(tableId: String, parentId: String, col: String, fnId: 
 final class RedoLog {
   private val ops = mutable.ArrayBuffer.empty[Op]
 
-  def append(op: Op): Unit          = synchronized { ops += op }
-  def entries: Vector[Op]           = synchronized { ops.toVector }
+  /** Append `op` unless an op with its table id is already logged;
+    * returns the op the log holds for that id.
+    */
+  def append(op: Op): Op = synchronized { find(op.tableId).getOrElse { ops += op; op } }
+
+  def entries: Vector[Op]               = synchronized { ops.toVector }
   def find(tableId: String): Option[Op] = synchronized { ops.find(_.tableId == tableId) }
 
   def save(path: String): Unit = {
@@ -60,25 +67,28 @@ final class Engine(val spark: SparkSession) {
   def registerMapFn(id: String)(f: Map[String, String] => RowFn): Unit         = mapFns.put(id, f)
 
   /** Load a source table (logged). */
-  def load(tableId: String, builderId: String, params: Map[String, String] = Map.empty): CachedTable = {
-    log.append(LoadOp(tableId, builderId, params))
-    materialize(LoadOp(tableId, builderId, params))
-  }
+  def load(tableId: String, builderId: String, params: Map[String, String] = Map.empty): CachedTable =
+    logged(LoadOp(tableId, builderId, params))
 
   /** Filter an existing table (logged). */
   def filter(parent: CachedTable, label: String, predId: String,
-             params: Map[String, String] = Map.empty): CachedTable = {
-    val op = FilterOp(s"${parent.id}|filter:$label", parent.id, predId, params)
-    log.append(op)
-    materialize(op)
-  }
+             params: Map[String, String] = Map.empty): CachedTable =
+    logged(FilterOp(s"${parent.id}|filter:$label", parent.id, predId, params))
 
   /** Derive a column on an existing table (logged). */
   def derive(parent: CachedTable, col: String, fnId: String,
-             params: Map[String, String] = Map.empty): CachedTable = {
-    val op = DeriveOp(s"${parent.id}|derive:$col", parent.id, col, fnId, params)
-    log.append(op)
-    materialize(op)
+             params: Map[String, String] = Map.empty): CachedTable =
+    logged(DeriveOp(s"${parent.id}|derive:$col", parent.id, col, fnId, params))
+
+  /** Log `op` and return its table. A table id names one op: repeating
+    * the op returns the table already logged (replayed if its soft state
+    * was dropped) without a second entry, and a different op under a
+    * logged id is rejected, since replay would rebuild the first one.
+    */
+  private def logged(op: Op): CachedTable = {
+    val prior = log.append(op)
+    require(prior == op, s"table ${op.tableId} is already logged as $prior, not $op")
+    table(op.tableId)
   }
 
   /** Fetch a table; if its soft state was dropped, lazily replay the log
@@ -91,6 +101,53 @@ final class Engine(val spark: SparkSession) {
         throw new IllegalStateException(s"table $tableId not in redo log — cannot recover"))
       materialize(op)
     })
+
+  /** Run `sk` over table `tableId` to its final summary (see
+    * `ExecutionTree.run`), rebuilding the table if its blocks were lost.
+    */
+  def run[S: ClassTag](tableId: String, sk: Sketch[S], seed: Long = 0L): S =
+    recovering(tableId)(ExecutionTree.run(_, sk, seed))
+
+  /** Run `sk` over table `tableId` with partial results (see
+    * `ExecutionTree.runProgressive`), rebuilding the table if its blocks
+    * were lost.
+    */
+  def runProgressive[S: ClassTag](
+      tableId: String,
+      sk: Sketch[S],
+      seed: Long = 0L,
+      aggregationIntervalMs: Long = 100L,
+      cancel: Partial[S] => Boolean = (_: Partial[S]) => false
+  ): ProgressiveResult[S] =
+    recovering(tableId)(ExecutionTree.runProgressive(_, sk, seed, aggregationIntervalMs, cancel))
+
+  /** Run `f` on table `tableId`. A cached source keeps no lineage (see
+    * `ColumnStore.fromDataFrame`), so when its blocks are gone (an
+    * executor died, or they were unpersisted behind the engine's back)
+    * Spark cannot recompute them and the job fails naming the missing
+    * checkpoint block. The root then treats the source as a restarted
+    * worker's (§5.8): it forgets the source and every table made from it,
+    * replays them from the redo log, and runs `f` once more.
+    */
+  private def recovering[A](tableId: String)(f: CachedTable => A): A =
+    try f(table(tableId))
+    catch {
+      case e: SparkException if lostCheckpoint(e) =>
+        val source = sourceOf(tableId)
+        registry.keys.filter(sourceOf(_) == source).foreach(id => registry.remove(id).foreach(_.drop()))
+        f(table(tableId))
+    }
+
+  private def lostCheckpoint(e: Throwable): Boolean =
+    Iterator.iterate(e)(_.getCause).takeWhile(_ != null)
+      .exists(x => String.valueOf(x.getMessage).contains("CHECKPOINT_RDD_BLOCK_ID_NOT_FOUND"))
+
+  /** The id of the load at the root of `tableId`'s chain in the log. */
+  private def sourceOf(tableId: String): String = log.find(tableId) match {
+    case Some(FilterOp(_, parentId, _, _))    => sourceOf(parentId)
+    case Some(DeriveOp(_, parentId, _, _, _)) => sourceOf(parentId)
+    case _                                    => tableId
+  }
 
   private def materialize(op: Op): CachedTable = {
     val t = op match {

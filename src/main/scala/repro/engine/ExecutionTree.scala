@@ -44,7 +44,7 @@ object ExecutionTree {
   /** Per-leaf summaries; blocks within a partition merge locally first
     * (a worker-level aggregation node).
     */
-  private def leafSummaries[S: ClassTag](t: CachedTable, sk: Sketch[S], seed: Long): RDD[S] =
+  private[engine] def leafSummaries[S: ClassTag](t: CachedTable, sk: Sketch[S], seed: Long): RDD[S] =
     t.blocks.mapPartitionsWithIndex { (pid, it) =>
       var acc     = sk.zero
       var blockNo = 0

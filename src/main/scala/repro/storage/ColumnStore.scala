@@ -18,8 +18,11 @@ trait RowFn extends Serializable { def apply(b: ColumnarBlock, i: Int): Double }
   * Derived tables (filter / derived column) share the physical column
   * arrays and differ only in membership / added columns (§5.6).
   *
-  * All state here is *soft* (§5.7): dropping the table merely unpersists
-  * the RDD; the engine's redo log can rebuild it on demand.
+  * All state here is *soft* (§5.7). A cached source table carries no
+  * lineage back to the data it was read from (see
+  * `ColumnStore.fromDataFrame`), so a leaf job ships only its vizketch and
+  * a pointer to the cached blocks; the engine's redo log, not Spark
+  * recompute, rebuilds a dropped table.
   */
 final class CachedTable(
     val id: String,
@@ -49,7 +52,19 @@ final class CachedTable(
   /** Force materialization of the cache (the paper's warm-data setting). */
   def warm(): CachedTable = { numRows; this }
 
-  /** Release the in-memory copy — soft state is disposable (§5.7). */
+  /** Release the cached blocks — soft state is disposable (§5.7).
+    *
+    * Spark never recomputes a cached source's blocks (they have no
+    * lineage): after `drop` a sketch on a source table fails with a Spark
+    * error naming the missing checkpoint block. A table filtered or
+    * derived from it keeps answering from its own cached blocks and fails
+    * the same way once one of them must be recomputed; a dropped filtered
+    * or derived table is recomputed from its parent while the parent's
+    * blocks last. Only the redo log rebuilds a table: `Engine.table`
+    * replays the tables the engine dropped, and `Engine.run` and
+    * `Engine.runProgressive` replay a table whose blocks were lost and
+    * run again.
+    */
   def drop(): Unit = blocks.unpersist(blocking = true)
 }
 
@@ -64,13 +79,19 @@ object ColumnStore {
   /** Ingest a DataFrame into the columnar cache. No repartitioning, no
     * indexes — Hillview "reads data repositories without pre-processing"
     * (§5.4); we convert each Spark partition's rows into blocks as-is.
+    *
+    * With `cache`, the block RDD is local-checkpointed (memory-and-disk
+    * level): once the first job (`warm()`) has materialized it, its
+    * lineage — the DataFrame's SQL plan and codegen stages — is cut, and
+    * every later task ships a pointer to the cached blocks instead. Lost
+    * blocks are not recomputed; the redo log rebuilds the table (§5.7).
+    * Without `cache` the lineage stays, and every job re-reads the source.
     */
   def fromDataFrame(id: String, df: DataFrame, blockRows: Int = DefaultBlockRows,
                     cache: Boolean = true): CachedTable = {
     val schema = df.schema
     val rdd = df.rdd.mapPartitions(rows => blockify(rows, schema, blockRows))
-    val persisted = if (cache) rdd.persist(StorageLevel.MEMORY_ONLY) else rdd
-    new CachedTable(id, persisted, schema.fieldNames.toSeq)
+    new CachedTable(id, if (cache) rdd.localCheckpoint() else rdd, schema.fieldNames.toSeq)
   }
 
   /** Cold-read path (paper Fig. 6): blocks built straight from a columnar

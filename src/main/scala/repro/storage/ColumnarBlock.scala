@@ -13,9 +13,22 @@ final case class ColumnarBlock(
     membership: MembershipSet
 ) {
 
-  def column(name: String): Column =
-    columns.getOrElse(name, throw new NoSuchElementException(
-      s"column '$name' not cached; have ${columns.keys.mkString(", ")}"))
+  /** The columns by name, for the lookup a `RowPred` or `RowFn` makes on
+    * every row: one hash probe (a `String` caches its hash) that allocates
+    * nothing. Built on first use, so a copied or deserialized block builds
+    * its own.
+    */
+  @transient private[this] lazy val index: java.util.HashMap[String, Column] = {
+    val m = new java.util.HashMap[String, Column](columns.size * 2)
+    columns.foreach { case (n, c) => m.put(n, c) }
+    m
+  }
+
+  def column(name: String): Column = {
+    val c = index.get(name)
+    if (c != null) c
+    else throw new NoSuchElementException(s"column '$name' not cached; have ${columns.keys.mkString(", ")}")
+  }
 
   /** Member row count (i.e. the filtered size, not the physical size). */
   def rowCount: Int = membership.size

@@ -2,7 +2,7 @@ package repro.engine
 
 import repro.{SparkSpec, SynthData}
 import repro.core.{MomentsSketch, NumericBuckets, SampledHistogramSketch}
-import repro.storage.{ColumnStore, ColumnarBlock, RowFn, RowPred}
+import repro.storage.{CachedTable, ColumnStore, ColumnarBlock, RowFn, RowPred}
 
 class EngineSpec extends SparkSpec {
 
@@ -20,14 +20,35 @@ class EngineSpec extends SparkSpec {
           b.column("l_quantity").asDouble(i) > threshold
       }
     }
+    e.registerPredicate("qtyBelow") { params =>
+      val threshold = params("t").toDouble
+      new RowPred {
+        def apply(b: ColumnarBlock, i: Int): Boolean =
+          b.column("l_quantity").asDouble(i) < threshold
+      }
+    }
     e.registerMapFn("revenue") { _ =>
       new RowFn {
         def apply(b: ColumnarBlock, i: Int): Double =
           b.column("l_extendedprice").asDouble(i) * (1.0 - b.column("l_discount").asDouble(i))
       }
     }
+    e.registerMapFn("discount") { _ =>
+      new RowFn {
+        def apply(b: ColumnarBlock, i: Int): Double = b.column("l_discount").asDouble(i)
+      }
+    }
     e
   }
+
+  /** A load → filter → derive chain: (source, filtered, derived). */
+  private def loadChain(e: Engine): (CachedTable, CachedTable, CachedTable) = {
+    val t = e.load("li", "lineitem", Map("sf" -> "0.002"))
+    val f = e.filter(t, "big", "qtyAbove", Map("t" -> "40"))
+    (t, f, e.derive(f, "revenue", "revenue"))
+  }
+
+  private val sampled = SampledHistogramSketch("revenue", NumericBuckets(0, 100000, 25), 0.2)
 
   test("load registers the table and logs the operation") {
     val e = newEngine()
@@ -71,6 +92,117 @@ class EngineSpec extends SparkSpec {
     e.dropAllSoftState()
     val after = ExecutionTree.run(e.table("li"), sk, seed = 77)
     assert(before.counts.toSeq == after.counts.toSeq)
+  }
+
+  test("a load → filter → derive chain replays to identical sketches after dropping soft state") {
+    val e         = newEngine()
+    val (_, f, d) = loadChain(e)
+    val hist      = ExecutionTree.run(d, sampled, seed = 13)
+    val moments   = ExecutionTree.run(d, MomentsSketch("revenue"))
+    val rows      = f.numRows
+
+    e.dropAllSoftState()
+    val replayed = e.table(d.id)
+    assert(!(replayed eq d))
+    assert(e.table(f.id).numRows == rows)
+    val hist2    = ExecutionTree.run(replayed, sampled, seed = 13)
+    val moments2 = ExecutionTree.run(replayed, MomentsSketch("revenue"))
+    assert(hist2.counts.toSeq == hist.counts.toSeq)
+    assert((hist2.outOfRange, hist2.missing, hist2.sampled) == (hist.outOfRange, hist.missing, hist.sampled))
+    assert(moments2.count == moments.count && moments2.missing == moments.missing)
+    assert(moments2.min == moments.min && moments2.max == moments.max)
+    // Leaf sums arrive at the root in completion order, so the float sums
+    // may differ in the last place.
+    moments2.powerSums.zip(moments.powerSums).foreach { case (x, y) =>
+      assert(math.abs(x - y) <= 1e-12 * math.abs(y), s"$x vs $y")
+    }
+    assert(e.log.entries.size == 3)
+  }
+
+  test("a sketch on a dropped table object fails instead of recomputing or hanging") {
+    import scala.concurrent.{Await, ExecutionContext, Future}
+    import scala.concurrent.duration._
+    val e         = newEngine()
+    val (t, f, d) = loadChain(e)
+    val counts    = Seq(t, f, d).map(x => ExecutionTree.run(x, MomentsSketch("l_quantity")).count)
+    assert(counts.forall(_ > 0))
+    e.dropAllSoftState()
+    for (x <- Seq(t, f, d)) {
+      val run = Future(ExecutionTree.run(x, MomentsSketch("l_quantity")))(ExecutionContext.global)
+      intercept[org.apache.spark.SparkException](Await.result(run, 60.seconds))
+      val prog = Future(ExecutionTree.runProgressive(x, MomentsSketch("l_quantity")))(ExecutionContext.global)
+      intercept[org.apache.spark.SparkException](Await.result(prog, 60.seconds))
+    }
+    // The redo log still rebuilds them.
+    assert(ExecutionTree.run(e.table(d.id), MomentsSketch("l_quantity")).count == counts(2))
+  }
+
+  test("an op under a logged table id with different content is rejected") {
+    val e         = newEngine()
+    val (t, f, _) = loadChain(e)
+    val rows      = f.numRows
+    intercept[IllegalArgumentException](e.filter(t, "big", "qtyAbove", Map("t" -> "30")))
+    intercept[IllegalArgumentException](e.filter(t, "big", "qtyBelow", Map("t" -> "40")))
+    intercept[IllegalArgumentException](e.derive(f, "revenue", "discount"))
+    intercept[IllegalArgumentException](e.derive(f, "revenue", "revenue", Map("x" -> "1")))
+    intercept[IllegalArgumentException](e.load("li", "lineitem", Map("sf" -> "0.001")))
+    assert(e.log.entries.size == 3)
+
+    e.dropAllSoftState()
+    intercept[IllegalArgumentException](e.filter(e.table("li"), "big", "qtyAbove", Map("t" -> "30")))
+    assert(e.table(f.id).numRows == rows)
+    assert(e.log.entries.size == 3)
+  }
+
+  test("repeating a logged op returns its table without a second log entry") {
+    val e         = newEngine()
+    val (t, f, d) = loadChain(e)
+    assert(e.filter(t, "big", "qtyAbove", Map("t" -> "40")) eq f)
+    assert(e.derive(f, "revenue", "revenue") eq d)
+    assert(e.load("li", "lineitem", Map("sf" -> "0.002")) eq t)
+    assert(e.log.entries.size == 3)
+    val rows = f.numRows
+    val hist = ExecutionTree.run(d, sampled, seed = 3)
+
+    e.dropAllSoftState()
+    val t2 = e.load("li", "lineitem", Map("sf" -> "0.002"))
+    val f2 = e.filter(t2, "big", "qtyAbove", Map("t" -> "40"))
+    val d2 = e.derive(f2, "revenue", "revenue")
+    assert(f2.id == "li|filter:big" && d2.id == "li|filter:big|derive:revenue")
+    assert(!(f2 eq f) && (e.table(d.id) eq d2))
+    assert(f2.numRows == rows)
+    assert(ExecutionTree.run(d2, sampled, seed = 3).counts.toSeq == hist.counts.toSeq)
+    assert(e.log.entries.size == 3)
+  }
+
+  test("blocks lost behind the engine's back are replayed from the log and the run retried") {
+    val e         = newEngine()
+    val (t, f, d) = loadChain(e)
+    val hist      = e.run(d.id, sampled, seed = 13)
+    val count     = e.run(t.id, MomentsSketch("l_quantity")).count
+    // An executor's death: every cached block of the chain is gone, but
+    // the engine still holds the tables.
+    def loseBlocks(ts: CachedTable*): Unit = ts.foreach(_.blocks.unpersist(blocking = true))
+    loseBlocks(t, f, d)
+    intercept[org.apache.spark.SparkException](ExecutionTree.run(d, sampled, seed = 13))
+
+    assert(e.run(d.id, sampled, seed = 13).counts.toSeq == hist.counts.toSeq)
+    val (t2, f2, d2) = (e.table(t.id), e.table(f.id), e.table(d.id))
+    assert(!(t2 eq t) && !(f2 eq f) && !(d2 eq d))
+    assert(ExecutionTree.run(d2, sampled, seed = 13).counts.toSeq == hist.counts.toSeq)
+    assert(e.run(t.id, MomentsSketch("l_quantity")).count == count)
+
+    loseBlocks(t2)
+    assert(e.runProgressive(t.id, MomentsSketch("l_quantity")).finalValue.count == count)
+    assert(!(e.table(t.id) eq t2) && !(e.table(d.id) eq d2))
+    assert(e.log.entries.size == 3)
+  }
+
+  test("a run that fails for another reason keeps its table") {
+    val e         = newEngine()
+    val (t, _, _) = loadChain(e)
+    intercept[org.apache.spark.SparkException](e.run(t.id, MomentsSketch("no_such_column")))
+    assert(e.table(t.id) eq t)
   }
 
   test("accessing an unknown table fails with a recovery error") {

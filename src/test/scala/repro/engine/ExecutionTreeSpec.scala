@@ -1,8 +1,11 @@
 package repro.engine
 
+import org.apache.spark.{SparkEnv, TaskContext}
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
 import repro.{SparkSpec, SynthData}
 import repro.core._
-import repro.storage.ColumnStore
+import repro.storage.{CachedTable, ColumnStore, ColumnarBlock, RowFn, RowPred}
 
 class ExecutionTreeSpec extends SparkSpec {
 
@@ -117,6 +120,90 @@ class ExecutionTreeSpec extends SparkSpec {
     val got = ExecutionTree.run(empty, MomentsSketch("k"))
     assert(got.isEmpty)
   }
+
+  /** Both routes on a table without rows give the sketches' zero, and
+    * `runProgressive` emits it as exactly one partial.
+    */
+  private def assertZeroResults(t: CachedTable): Unit = {
+    val hist = StreamingHistogramSketch("k", buckets)
+    val h    = ExecutionTree.run(t, hist)
+    assert(h.counts.length == buckets.count && h.counts.forall(_ == 0L))
+    assert(h.outOfRange == 0L && h.missing == 0L && h.sampled == 0L)
+    assert(ExecutionTree.run(t, MomentsSketch("k")).count == 0L)
+
+    // An interval longer than the test: the one partial is the final one.
+    val ph = ExecutionTree.runProgressive(t, hist, aggregationIntervalMs = 600000)
+    assert(ph.updates == 1 && !ph.cancelled)
+    assert(ph.finalValue.counts.length == buckets.count && ph.finalValue.counts.forall(_ == 0L))
+    val pm = ExecutionTree.runProgressive(t, MomentsSketch("k"), aggregationIntervalMs = 600000)
+    assert(pm.updates == 1 && pm.finalValue.count == 0L)
+  }
+
+  test("a table with zero partitions yields the zero summary on both routes") {
+    val none = new CachedTable("none", spark.sparkContext.emptyRDD[ColumnarBlock], Seq("k", "v"))
+    assert(none.numLeaves == 0)
+    assertZeroResults(none)
+  }
+
+  test("a filtered table with zero members yields the zero summary on both routes") {
+    val nobody = table.filter("nobody", NoRow).warm()
+    try {
+      assert(nobody.numRows == 0L && nobody.numLeaves == table.numLeaves)
+      assertZeroResults(nobody)
+    } finally nobody.drop()
+  }
+
+  /** Bytes of a leaf job's task binary: the leaf RDD and the job function,
+    * closure-serialized the way Spark's scheduler ships them to tasks.
+    */
+  private def taskBytes(t: CachedTable): Int = {
+    val sk   = MomentsSketch("k")
+    val leaf = ExecutionTree.leafSummaries(t, sk, 0L)
+    val func = (_: TaskContext, it: Iterator[MomentsSummary]) => it.foldLeft(sk.zero)(sk.merge)
+    SparkEnv.get.closureSerializer.newInstance().serialize((leaf, func)).limit()
+  }
+
+  /** A table built from `df`, one filtered from it, and one derived from
+    * that, each warmed.
+    */
+  private def chain(name: String, df: DataFrame): Seq[CachedTable] = {
+    val t = ColumnStore.fromDataFrame(name, df, blockRows = 5000).warm()
+    val f = t.filter("odd", OddKey).warm()
+    Seq(t, f, f.derive("w", KeyPlusV).warm())
+  }
+
+  test("a leaf job's task binary does not carry the table's SQL plan") {
+    val df   = SynthData.uniformKeys(spark, 20000, 100).repartition(4)
+    val deep = (1 to 20).foldLeft(df)((d, i) => d.select(col("k"), (col("v") + i).as("v")))
+    val plain  = chain("plan-plain", df)
+    val longer = chain("plan-deep", deep)
+    for ((a, b) <- plain.zip(longer)) {
+      val (na, nb) = (taskBytes(a), taskBytes(b))
+      info(s"${a.id}: $na B, ${b.id}: $nb B")
+      assert(na <= 16 * 1024 && nb <= 16 * 1024, s"${a.id}: $na B, ${b.id}: $nb B")
+      assert(math.abs(na - nb) <= 1024, s"${a.id}: $na B, ${b.id}: $nb B")
+    }
+    // An uncached table keeps its lineage, so there the plan shows.
+    val Seq(ua, ub) = Seq(df, deep).map(d => taskBytes(ColumnStore.fromDataFrame("plan-uncached", d, cache = false)))
+    info(s"uncached: $ua B, $ub B")
+    assert(ub > ua + 1024, s"uncached: $ua B vs $ub B")
+    (plain ++ longer).reverse.foreach(_.drop())
+  }
+}
+
+/** Keeps rows with an odd key. */
+object OddKey extends RowPred {
+  def apply(b: ColumnarBlock, i: Int): Boolean = b.column("k").asDouble(i) % 2 == 1
+}
+
+/** Keeps no row. */
+object NoRow extends RowPred {
+  def apply(b: ColumnarBlock, i: Int): Boolean = false
+}
+
+/** k + v, a derived column. */
+object KeyPlusV extends RowFn {
+  def apply(b: ColumnarBlock, i: Int): Double = b.column("k").asDouble(i) + b.column("v").asDouble(i)
 }
 
 /** Moments sketch with an artificial 100 ms leaf delay — used to test

@@ -19,6 +19,72 @@ class ColumnarBlockSpec extends AnyFunSuite {
     assert(ex.getMessage.contains("x"))
   }
 
+  private def twoColumns(): (ColumnarBlock, Column, Column) = {
+    val x = DoubleColumn(Array(1.0, 2.0, 3.0))
+    val y = LongColumn(Array(7L, 8L, 9L), null)
+    (ColumnarBlock.of(3, "x" -> x, "y" -> y), x, y)
+  }
+
+  test("column() answers alternating names with their own columns") {
+    val (b, x, y) = twoColumns()
+    (0 until 1000).foreach { i =>
+      assert(b.column("x") eq x)
+      assert(b.column("y") eq y)
+      if (i % 3 == 0) assert(b.column("y") eq y)
+    }
+  }
+
+  test("column() resolves an equal but not identical name") {
+    val (b, x, y) = twoColumns()
+    val name = new String("x")
+    assert(!(name eq "x"))
+    assert(b.column("x") eq x)
+    assert(b.column(name) eq x)
+    assert(b.column(new String("y")) eq y)
+    assert(b.column("x") eq x)
+  }
+
+  test("column() still rejects an unknown name after a successful lookup") {
+    val (b, x, _) = twoColumns()
+    assert(b.column("x") eq x)
+    val ex = intercept[NoSuchElementException](b.column("nope"))
+    assert(ex.getMessage.contains("nope"))
+    assert(ex.getMessage.contains("x") && ex.getMessage.contains("y"))
+    assert(b.column("x") eq x)
+  }
+
+  test("column() on a shared block gives each thread its own column") {
+    val (b, x, y) = twoColumns()
+    val wrong = new java.util.concurrent.atomic.AtomicLong()
+    def hammer(name: String, want: Column): Thread = new Thread(() => {
+      var i = 0
+      while (i < 2000000) { if (!(b.column(name) eq want)) wrong.incrementAndGet(); i += 1 }
+    })
+    val threads = Seq(hammer("x", x), hammer("y", y))
+    threads.foreach(_.start())
+    threads.foreach(_.join())
+    assert(wrong.get == 0L)
+  }
+
+  test("copied, filtered, derived and deserialized blocks do not inherit a stale column") {
+    val (b, x, y) = twoColumns()
+    assert(b.column("x") eq x)
+    val x2 = DoubleColumn(Array(4.0, 5.0, 6.0))
+    assert(b.copy(columns = Map("x" -> x2, "y" -> y)).column("x") eq x2)
+    assert(b.filtered(_ > 0).column("x") eq x)
+    val d = b.withDerived("x", (blk, i) => blk.column("y").asDouble(i))
+    assert(d.column("x").asDouble(2) == 9.0)
+    assert(b.column("x") eq x)
+
+    val bytes = new java.io.ByteArrayOutputStream()
+    val out   = new java.io.ObjectOutputStream(bytes)
+    out.writeObject(b); out.close()
+    val back = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+      .readObject().asInstanceOf[ColumnarBlock]
+    assert(back.column("x").asDouble(1) == 2.0)
+    assert(back.column("y").asDouble(1) == 8.0)
+  }
+
   test("foreachRow visits every row once in order") {
     val b   = TestData.doubleBlock(5, 6, 7, 8)
     val got = Vector.newBuilder[Int]
