@@ -17,11 +17,14 @@ object JobSession {
       .getOrCreate()
 }
 
-/** T1 (§7.2.1): single-thread histogram — streaming vs sampling vs DB, and the hand loop. */
+/** T1 (§7.2.1): single-thread histogram — streaming vs sampling vs DB, the
+  * hand loop, and next items on the same column.
+  */
 object T1SingleThreadJob {
   def main(args: Array[String]): Unit = {
     val rows = args.headOption.map(_.toInt).getOrElse(10_000_000)
-    println(T1SingleThread.render(T1SingleThread.run(rows) :+ T1SingleThread.handLoop(rows)))
+    println(T1SingleThread.render(
+      (T1SingleThread.run(rows) :+ T1SingleThread.handLoop(rows)) ++ T1SingleThread.nextItems(rows)))
   }
 }
 

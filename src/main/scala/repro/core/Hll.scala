@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.storage.{ColumnarBlock, StringColumn}
+import repro.storage.{ColumnarBlock, RowBatches, StringColumn}
 
 /** HyperLogLog registers (Flajolet et al. [40]): 2^p byte registers,
   * merged by element-wise max — the canonical mergeable summary.
@@ -41,22 +41,47 @@ final case class HllSketch(col: String, p: Int = 12) extends Sketch[HllSummary] 
 
   def zero = HllSummary(new Array[Byte](1 << p), p)
 
+  /** Numeric columns hash each batch's values from `Column.doubles`. A
+    * string column marks the dictionary codes its members use and hashes
+    * each of those entries once per block; registers keep a maximum, so
+    * adding a value once or once per occurrence gives the same summary.
+    */
   def summarize(block: ColumnarBlock, ctx: LeafCtx): HllSummary = {
     val regs = new Array[Byte](1 << p)
-    val c    = block.column(col)
-    val isStr = c.isInstanceOf[StringColumn]
-    block.foreachRow { i =>
-      if (!c.isMissing(i)) {
-        val h =
-          if (isStr) SplitMix.hashString(c.asString(i))
-          else SplitMix.mix(java.lang.Double.doubleToLongBits(c.asDouble(i)), 0x9E1L)
-        val idx  = (h >>> (64 - p)).toInt
-        val rest = h << p
-        val rank = (if (rest == 0L) 64 - p else java.lang.Long.numberOfLeadingZeros(rest)) + 1
-        if (rank > regs(idx)) regs(idx) = rank.toByte
-      }
+    val rb   = block.batches
+    block.column(col) match {
+      case c: StringColumn =>
+        val used = new Array[Boolean](c.dict.length)
+        while (rb.next()) {
+          val rows = rb.rows
+          var j    = 0
+          while (j < rb.size) { val code = c.codes(rows(j)); if (code >= 0) used(code) = true; j += 1 }
+        }
+        var code = 0
+        while (code < used.length) {
+          if (used(code)) add(regs, SplitMix.hashString(c.dict(code)))
+          code += 1
+        }
+      case c =>
+        val xs = new Array[Double](RowBatches.Capacity)
+        while (rb.next()) {
+          c.doubles(rb.rows, rb.size, xs)
+          var j = 0
+          while (j < rb.size) {
+            val x = xs(j)
+            if (!x.isNaN) add(regs, SplitMix.mix(java.lang.Double.doubleToLongBits(x), 0x9E1L))
+            j += 1
+          }
+        }
     }
     HllSummary(regs, p)
+  }
+
+  private def add(regs: Array[Byte], h: Long): Unit = {
+    val idx  = (h >>> (64 - p)).toInt
+    val rest = h << p
+    val rank = (if (rest == 0L) 64 - p else java.lang.Long.numberOfLeadingZeros(rest)) + 1
+    if (rank > regs(idx)) regs(idx) = rank.toByte
   }
 
   def merge(a: HllSummary, b: HllSummary): HllSummary = {

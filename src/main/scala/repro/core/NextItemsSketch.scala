@@ -43,22 +43,37 @@ final case class NextItemsSketch(
     }
   }
 
-  /** Generic scan: one allocation-free comparison per row, and a RowKey
-    * only for rows that enter the current top K.
+  /** Generic scan, a batch at a time. A row whose first-column key lies
+    * strictly outside [lo, hi] is dropped at once: lo is the start key's
+    * first cell, hi the current K-th key's once K keys are held. Every
+    * other row takes one allocation-free comparison with the start and the
+    * K-th key, and a RowKey only if it enters the current top K.
     */
   private def summarizeRows(block: ColumnarBlock, cs: Array[Column]): NextItemsSummary = {
     val heap   = new java.util.TreeMap[RowKey, Long](ord)
     val signs  = sortCols.map(sc => if (sc.ascending) 1 else -1).toArray
     val startK = start.orNull
-    block.foreachRow { i =>
-      // Allocation-free reject paths: almost every row of a big table is
-      // either before the start row or past the current K-th key.
-      val afterStart = startK == null || RowKey.compareRowTo(cs, i, startK, signs) > 0
-      if (afterStart &&
-          (heap.size < k || RowKey.compareRowTo(cs, i, heap.lastKey, signs) <= 0)) {
-        val key = RowKey.of(block, cols, i)
-        heap.merge(key, 1L, (a, b) => a + b)
-        if (heap.size > k) heap.pollLastEntry()
+    val lead   = LeadKeys(cs, sortCols)
+    val keys   = lead.keys
+    val lo     = lead.lo(startK)
+    var hi     = Double.PositiveInfinity
+    val rb     = block.batches
+    while (rb.next()) {
+      lead.load(rb)
+      val rows = rb.rows
+      var j    = 0
+      while (j < rb.size) {
+        val y = keys(j)
+        if (lo <= y && y <= hi) {
+          val i = rows(j)
+          if ((startK == null || RowKey.compareRowTo(cs, i, startK, signs) > 0) &&
+              (heap.size < k || RowKey.compareRowTo(cs, i, heap.lastKey, signs) <= 0)) {
+            heap.merge(RowKey.of(block, cols, i), 1L, (a, b) => a + b)
+            if (heap.size > k) heap.pollLastEntry()
+            if (heap.size == k) hi = lead.hi(heap.lastKey)
+          }
+        }
+        j += 1
       }
     }
     NextItemsSummary(heap.entrySet.asScala.iterator.map(e => (e.getKey, e.getValue.longValue)).toVector)
@@ -72,7 +87,12 @@ final case class NextItemsSketch(
   private def summarizeCodes(block: ColumnarBlock, c: StringColumn): NextItemsSummary = {
     val missing = c.dict.length
     val counts  = new Array[Long](missing + 1)
-    block.foreachRow { i => val code = c.codes(i); counts(if (code < 0) missing else code) += 1 }
+    val rb      = block.batches
+    while (rb.next()) {
+      val rows = rb.rows
+      var j    = 0
+      while (j < rb.size) { val code = c.codes(rows(j)); counts(if (code < 0) missing else code) += 1; j += 1 }
+    }
     def value(slot: Int): String = if (slot == missing) null else c.dict(slot)
     val sign = if (sortCols.head.ascending) 1 else -1
     def cmp(x: String, y: String): Int = sign * KeyCell.compareStrings(x, y)
@@ -159,25 +179,47 @@ final case class FindTextSketch(
 
   def zero = FindTextSummary(None, 0L)
 
+  /** One pass over the block's batches. A string column is matched once
+    * per dictionary entry (§5.4). Every hit is counted; only a hit whose
+    * first-column key lies in [lo, hi] (the start key's and the best
+    * match's first cells, see `LeadKeys`) is compared with the start and
+    * the best match.
+    */
   def summarize(block: ColumnarBlock, ctx: LeafCtx): FindTextSummary = {
-    val hit: Int => Boolean = block.column(col) match {
-      case c: StringColumn => // match each dictionary entry once (§5.4)
-        val byCode = c.dict.map(matches)
-        i => { val code = c.codes(i); code >= 0 && byCode(code) }
-      case c => i => matches(c.asString(i))
+    val mc = block.column(col)
+    val (codes, byCode) = mc match {
+      case c: StringColumn => (c.codes, c.dict.map(matches))
+      case _               => (null, null)
     }
     val names  = sortCols.map(_.name)
     val cs     = names.map(block.column).toArray
     val signs  = sortCols.map(sc => if (sc.ascending) 1 else -1).toArray
     val startK = start.orNull
+    val lead   = LeadKeys(cs, sortCols)
+    val lo     = lead.lo(startK)
+    var hi     = Double.PositiveInfinity
     var best: RowKey = null
     var n = 0L
-    block.foreachRow { i =>
-      if (hit(i)) {
-        n += 1
-        if ((startK == null || RowKey.compareRowTo(cs, i, startK, signs) > 0) &&
-            (best == null || RowKey.compareRowTo(cs, i, best, signs) < 0))
-          best = RowKey.of(block, names, i)
+    val rb = block.batches
+    while (rb.next()) {
+      val rows = rb.rows
+      var j    = 0
+      while (j < rb.size) {
+        val i = rows(j)
+        val hit =
+          if (codes != null) { val code = codes(i); code >= 0 && byCode(code) }
+          else matches(mc.asString(i))
+        if (hit) {
+          n += 1
+          val y = lead.key(i)
+          if (lo <= y && y <= hi &&
+              (startK == null || RowKey.compareRowTo(cs, i, startK, signs) > 0) &&
+              (best == null || RowKey.compareRowTo(cs, i, best, signs) < 0)) {
+            best = RowKey.of(block, names, i)
+            hi = lead.hi(best)
+          }
+        }
+        j += 1
       }
     }
     FindTextSummary(Option(best), n)

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.storage.{Column, ColumnarBlock, StringColumn}
+import repro.storage.{Column, ColumnarBlock, RowBatches, StringColumn}
 
 /** One cell of a sort key. Numeric columns (ints, doubles, dates) compare
   * numerically; strings lexicographically; missing values sort last —
@@ -99,4 +99,56 @@ object RowKey {
       if (cmp != 0) cmp else a.cells.length - b.cells.length
     }
   }
+}
+
+/** A block's first sort column as primitive keys, so the next-items and
+  * find-text scans can drop a row whose key lies strictly outside
+  * [lo, hi] without comparing it to a `RowKey`.
+  *
+  * A row's key is sign × value, with a missing value after every number in
+  * the column's order: +∞ ascending, −∞ descending. Wherever two keys
+  * differ, this agrees with `KeyCell.ordering` × sign on the first column;
+  * values whose keys tie although their cells differ (−0.0 and 0.0, +∞
+  * and a missing value) fall inside the bounds and get the full
+  * comparison. A string column has no primitive key: every key of its
+  * rows is 0 and every bound infinite.
+  */
+private[core] final class LeadKeys(c: Column, ascending: Boolean) {
+  private[this] val bounded = c != null && !c.isInstanceOf[StringColumn]
+  private[this] val sign    = if (ascending) 1.0 else -1.0
+  private[this] val missing = if (ascending) Double.PositiveInfinity else Double.NegativeInfinity
+
+  /** Keys of the rows of the last `load`ed batch. */
+  val keys: Array[Double] = new Array[Double](RowBatches.Capacity)
+
+  def load(rb: RowBatches): Unit = if (bounded) {
+    c.doubles(rb.rows, rb.size, keys)
+    var k = 0
+    while (k < rb.size) { keys(k) = keyOf(keys(k)); k += 1 }
+  }
+
+  /** Key of row `i`. */
+  def key(i: Int): Double = if (bounded) keyOf(c.asDouble(i)) else 0.0
+
+  /** Least key of a row that can sort after `start`; −∞ without a start. */
+  def lo(start: RowKey): Double = bound(start, Double.NegativeInfinity)
+
+  /** Greatest key of a row that can sort at or before `last`; +∞ without one. */
+  def hi(last: RowKey): Double = bound(last, Double.PositiveInfinity)
+
+  private def keyOf(x: Double): Double = if (x.isNaN) missing else sign * x
+
+  private def bound(key: RowKey, none: Double): Double =
+    if (key == null || !bounded || key.cells.isEmpty) none
+    else key.cells(0) match {
+      case NumCell(v) => keyOf(v)
+      case NullCell   => missing
+      case StrCell(_) => none // a string sorts after every number and before the missing value
+    }
+}
+
+private[core] object LeadKeys {
+  /** Keys of the first of `cols`, the sort columns of `sortCols`. */
+  def apply(cols: Array[Column], sortCols: Seq[SortCol]): LeadKeys =
+    new LeadKeys(cols.headOption.orNull, sortCols.headOption.forall(_.ascending))
 }

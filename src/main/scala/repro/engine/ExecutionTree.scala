@@ -6,7 +6,7 @@ import scala.concurrent.ExecutionContext
 import scala.reflect.ClassTag
 import scala.util.{Failure, Success, Try}
 import repro.core.{LeafCtx, Serde, Sketch}
-import repro.storage.CachedTable
+import repro.storage.{CachedTable, ColumnarBlock, PartitionFn, PartitionMap}
 
 /** One partial update delivered to the root (§5.3): the merged summary so
   * far, progress (leaves completed), elapsed time, and the serialized size
@@ -45,16 +45,7 @@ object ExecutionTree {
     * (a worker-level aggregation node).
     */
   private[engine] def leafSummaries[S: ClassTag](t: CachedTable, sk: Sketch[S], seed: Long): RDD[S] =
-    t.blocks.mapPartitionsWithIndex { (pid, it) =>
-      var acc     = sk.zero
-      var blockNo = 0
-      while (it.hasNext) {
-        val b = it.next()
-        acc = sk.merge(acc, sk.summarize(b, LeafCtx(pid * 100000 + blockNo, seed)))
-        blockNo += 1
-      }
-      Iterator.single(acc)
-    }
+    new PartitionMap(t.blocks, LeafFold(sk, seed))
 
   /** Blocking execution: full tree, final summary only. */
   def run[S: ClassTag](t: CachedTable, sk: Sketch[S], seed: Long = 0L, depth: Int = 2): S =
@@ -90,7 +81,7 @@ object ExecutionTree {
     val start = System.nanoTime()
     val action = sc.submitJob[S, S, Unit](
       summ,
-      (it: Iterator[S]) => it.foldLeft(sk.zero)(sk.merge),
+      MergeAll(sk),
       0 until parts,
       (_: Int, s: S) => { queue.put(Success(s)); () },
       ())
@@ -140,4 +131,23 @@ object ExecutionTree {
     }
     ProgressiveResult(partials.result(), cancelled)
   }
+}
+
+/** A leaf: summarize each block of the partition and merge them locally. */
+private final case class LeafFold[S](sk: Sketch[S], seed: Long) extends PartitionFn[ColumnarBlock, S] {
+  def apply(pid: Int, it: Iterator[ColumnarBlock]): Iterator[S] = {
+    var acc     = sk.zero
+    var blockNo = 0
+    while (it.hasNext) {
+      val b = it.next()
+      acc = sk.merge(acc, sk.summarize(b, LeafCtx(pid * 100000 + blockNo, seed)))
+      blockNo += 1
+    }
+    Iterator.single(acc)
+  }
+}
+
+/** The job function of `runProgressive`: a partition's summaries merged. */
+private final case class MergeAll[S](sk: Sketch[S]) extends (Iterator[S] => S) with Serializable {
+  def apply(it: Iterator[S]): S = it.foldLeft(sk.zero)(sk.merge)
 }

@@ -60,6 +60,19 @@ object T1SingleThread {
     Row("hand loop", ms.drop(2).min)
   }
 
+  /** Next items (K = 20) sorted by the T1 column, one thread: the row path
+    * of the tabular view's leaf loop, with no start (a first page) and with
+    * a start at the column's mean (a page after a scroll-bar jump). Timed
+    * like `run`.
+    */
+  def nextItems(rows: Int = 10_000_000, reps: Int = 5): Seq[Row] = {
+    val (blocks, m, _) = setup(rows, 1)
+    val sort           = Seq(SortCol("x"))
+    val mean           = Some(RowKey(Vector(NumCell(m.mean))))
+    Seq(Row("next items", LocalWorker.timeMs(blocks, NextItemsSketch(sort, 20), 1, reps = reps)),
+      Row("next items, start at mean", LocalWorker.timeMs(blocks, NextItemsSketch(sort, 20, mean), 1, reps = reps)))
+  }
+
   private def values(blocks: IndexedSeq[ColumnarBlock]): Array[Double] =
     blocks.head.column("x").asInstanceOf[repro.storage.DoubleColumn].values
 

@@ -1,5 +1,7 @@
 package repro.storage
 
+import scala.reflect.ClassTag
+import org.apache.spark.{Partition, TaskContext}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types._
@@ -40,13 +42,13 @@ final class CachedTable(
   /** New table selecting rows where `pred` holds; shares column data. */
   def filter(label: String, pred: RowPred): CachedTable =
     new CachedTable(s"$id|filter:$label",
-      blocks.map(b => b.filtered(i => pred(b, i))).persist(StorageLevel.MEMORY_ONLY),
+      new PartitionMap(blocks, FilterBlocks(pred)).persist(StorageLevel.MEMORY_ONLY),
       columnNames)
 
   /** New table with a derived double column (§5.6 user-defined maps). */
   def derive(colName: String, fn: RowFn): CachedTable =
     new CachedTable(s"$id|derive:$colName",
-      blocks.map(b => b.withDerived(colName, (blk, i) => fn(blk, i))).persist(StorageLevel.MEMORY_ONLY),
+      new PartitionMap(blocks, DeriveBlocks(colName, fn)).persist(StorageLevel.MEMORY_ONLY),
       columnNames :+ colName)
 
   /** Force materialization of the cache (the paper's warm-data setting). */
@@ -66,6 +68,39 @@ final class CachedTable(
     * run again.
     */
   def drop(): Unit = blocks.unpersist(blocking = true)
+}
+
+/** A partition function shipped to tasks as a named class: its fields are
+  * all a task deserializes.
+  */
+trait PartitionFn[T, U] extends Serializable {
+  def apply(pid: Int, it: Iterator[T]): Iterator[U]
+}
+
+/** The RDD whose partition `pid` is `f(pid, prev's partition pid)`: what
+  * `mapPartitionsWithIndex` builds, without what Spark adds to each such
+  * call on the driver (parsing the caller's bytecode to clean the closure,
+  * a trial serialization, a JSON round trip of the operation scope).
+  * Because `f` is not cleaned, a non-serializable `f` fails the job when
+  * its tasks are serialized, not at this call. Like Spark's own
+  * `MapPartitionsRDD`, it keeps `prev` as a field until checkpointed.
+  */
+final class PartitionMap[T: ClassTag, U: ClassTag](private var prev: RDD[T], f: PartitionFn[T, U])
+    extends RDD[U](prev) {
+  override protected def getPartitions: Array[Partition] = firstParent[T].partitions
+  override def compute(split: Partition, context: TaskContext): Iterator[U] =
+    f(split.index, firstParent[T].iterator(split, context))
+  override protected def clearDependencies(): Unit = { super.clearDependencies(); prev = null }
+}
+
+private final case class FilterBlocks(pred: RowPred) extends PartitionFn[ColumnarBlock, ColumnarBlock] {
+  def apply(pid: Int, it: Iterator[ColumnarBlock]): Iterator[ColumnarBlock] =
+    it.map(b => b.filtered(i => pred(b, i)))
+}
+
+private final case class DeriveBlocks(name: String, fn: RowFn) extends PartitionFn[ColumnarBlock, ColumnarBlock] {
+  def apply(pid: Int, it: Iterator[ColumnarBlock]): Iterator[ColumnarBlock] =
+    it.map(b => b.withDerived(name, (blk, i) => fn(blk, i)))
 }
 
 object ColumnStore {

@@ -83,6 +83,37 @@ class ExecutionTreeSpec extends SparkSpec {
     slowTable.drop()
   }
 
+  test("cancelling after the first partial returns that leaf alone, without waiting for the rest") {
+    import spark.implicits._
+    val stallMs = 4000L
+    val fourLeaves = ColumnStore.fromDataFrame("uk-stalled",
+      spark.range(0, 4000, 1, 4).map(_.toDouble).toDF("k"), blockRows = 1000).warm()
+    try {
+      assert(fourLeaves.numLeaves == 4)
+      val t0   = System.nanoTime()
+      val prog = ExecutionTree.runProgressive(fourLeaves, StallingMoments("k", stallMs),
+        aggregationIntervalMs = 10, cancel = (_: Partial[MomentsSummary]) => true)
+      val ms = (System.nanoTime() - t0) / 1e6
+      assert(prog.cancelled)
+      // The one partial holds leaf 0's 1,000 rows once; no other leaf had arrived.
+      assert(prog.partials.map(_.leavesDone) == Vector(1))
+      assert(prog.finalValue.count == 1000L && prog.finalValue.min == 0.0 && prog.finalValue.max == 999.0)
+      assert(ms < stallMs / 2, s"the cancelled call took $ms ms")
+    } finally fourLeaves.drop()
+  }
+
+  test("a sketch that cannot be serialized fails both routes with a SparkException") {
+    import scala.concurrent.{Await, Future}
+    import scala.concurrent.duration._
+    implicit val ec: scala.concurrent.ExecutionContext = scala.concurrent.ExecutionContext.global
+    val sk = UnshippableMoments("k")
+    for (route <- Seq[() => Any](() => ExecutionTree.run(table, sk), () => ExecutionTree.runProgressive(table, sk))) {
+      val e     = intercept[org.apache.spark.SparkException](Await.result(Future(route()), 60.seconds))
+      val chain = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).map(_.toString).toSeq
+      assert(chain.exists(_.contains("NotSerializableException")), chain.mkString(" <- "))
+    }
+  }
+
   test("sampled sketches are deterministic across progressive/blocking execution") {
     val sk = SampledHistogramSketch("k", buckets, 0.1)
     val a  = ExecutionTree.run(table, sk, seed = 5)
@@ -217,6 +248,31 @@ final case class SlowMoments(col: String) extends Sketch[MomentsSummary] {
   def summarize(b: repro.storage.ColumnarBlock, ctx: LeafCtx): MomentsSummary = {
     Thread.sleep(100); inner.summarize(b, ctx)
   }
+  def merge(a: MomentsSummary, b: MomentsSummary): MomentsSummary = inner.merge(a, b)
+}
+
+/** Moments sketch whose leaves other than leaf 0 sleep `stallMs` first —
+  * used to cancel a progressive run while most leaves are still running.
+  */
+final case class StallingMoments(col: String, stallMs: Long) extends Sketch[MomentsSummary] {
+  private val inner = MomentsSketch(col)
+  def name = "stalling.moments"
+  def zero = inner.zero
+  def summarize(b: repro.storage.ColumnarBlock, ctx: LeafCtx): MomentsSummary = {
+    if (ctx.blockId != 0) Thread.sleep(stallMs)
+    inner.summarize(b, ctx)
+  }
+  def merge(a: MomentsSummary, b: MomentsSummary): MomentsSummary = inner.merge(a, b)
+}
+
+/** Moments sketch holding a field Java serialization rejects. */
+final case class UnshippableMoments(col: String) extends Sketch[MomentsSummary] {
+  private val inner = MomentsSketch(col)
+  private val lock  = new Object
+  def name = "unshippable.moments"
+  def zero = inner.zero
+  def summarize(b: repro.storage.ColumnarBlock, ctx: LeafCtx): MomentsSummary =
+    lock.synchronized(inner.summarize(b, ctx))
   def merge(a: MomentsSummary, b: MomentsSummary): MomentsSummary = inner.merge(a, b)
 }
 

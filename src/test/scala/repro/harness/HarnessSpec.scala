@@ -90,6 +90,12 @@ class MicrobenchSmokeSpec extends AnyFunSuite {
     rows.foreach(r => assert(r.timeMs > 0))
   }
 
+  test("T1 next-items harness times a first page and a page after a start") {
+    val rows = T1SingleThread.nextItems(rows = 200000, reps = 1)
+    assert(rows.map(_.method) == Seq("next items", "next items, start at mean"))
+    rows.foreach(r => assert(r.timeMs > 0))
+  }
+
   test("T4 harness produces one row per shard count") {
     val rows = T4ThreadScalability.run(Seq(1, 2), rowsPerShard = 100000, reps = 1)
     assert(rows.map(_.shards) == Seq(1, 2))
