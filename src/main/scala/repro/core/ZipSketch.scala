@@ -14,7 +14,7 @@ final case class ZipSketch[A, B](left: Sketch[A], right: Sketch[B]) extends Sket
   def zero = (left.zero, right.zero)
 
   def summarize(block: ColumnarBlock, ctx: LeafCtx): (A, B) =
-    (left.summarize(block, ctx), right.summarize(block, LeafCtx(ctx.blockId, ctx.seed + 0x51ab)))
+    (left.summarize(block, ctx), right.summarize(block, ctx.copy(seed = ctx.seed + 0x51ab)))
 
   def merge(a: (A, B), b: (A, B)): (A, B) =
     (left.merge(a._1, b._1), right.merge(a._2, b._2))

@@ -102,15 +102,18 @@ final class Engine(val spark: SparkSession) {
       materialize(op)
     })
 
-  /** Run `sk` over table `tableId` to its final summary (see
-    * `ExecutionTree.run`), rebuilding the table if its blocks were lost.
-    */
+  /** Run `sk` over table `tableId` to the last partial of `runProgressive`. */
   def run[S: ClassTag](tableId: String, sk: Sketch[S], seed: Long = 0L): S =
-    recovering(tableId)(ExecutionTree.run(_, sk, seed))
+    runProgressive(tableId, sk, seed).finalValue
 
   /** Run `sk` over table `tableId` with partial results (see
-    * `ExecutionTree.runProgressive`), rebuilding the table if its blocks
-    * were lost.
+    * `ExecutionTree.runProgressive`). A cached source keeps no lineage
+    * (see `ColumnStore.fromDataFrame`), so when its blocks are gone (an
+    * executor died, or they were unpersisted behind the engine's back)
+    * Spark cannot recompute them and the job fails naming the missing
+    * checkpoint block. The root then treats the source as a restarted
+    * worker's (§5.8): it forgets the source and every table made from it,
+    * replays them from the redo log, and runs the sketch once more.
     */
   def runProgressive[S: ClassTag](
       tableId: String,
@@ -118,25 +121,16 @@ final class Engine(val spark: SparkSession) {
       seed: Long = 0L,
       aggregationIntervalMs: Long = 100L,
       cancel: Partial[S] => Boolean = (_: Partial[S]) => false
-  ): ProgressiveResult[S] =
-    recovering(tableId)(ExecutionTree.runProgressive(_, sk, seed, aggregationIntervalMs, cancel))
-
-  /** Run `f` on table `tableId`. A cached source keeps no lineage (see
-    * `ColumnStore.fromDataFrame`), so when its blocks are gone (an
-    * executor died, or they were unpersisted behind the engine's back)
-    * Spark cannot recompute them and the job fails naming the missing
-    * checkpoint block. The root then treats the source as a restarted
-    * worker's (§5.8): it forgets the source and every table made from it,
-    * replays them from the redo log, and runs `f` once more.
-    */
-  private def recovering[A](tableId: String)(f: CachedTable => A): A =
-    try f(table(tableId))
+  ): ProgressiveResult[S] = {
+    def attempt() = ExecutionTree.runProgressive(table(tableId), sk, seed, aggregationIntervalMs, cancel)
+    try attempt()
     catch {
       case e: SparkException if lostCheckpoint(e) =>
         val source = sourceOf(tableId)
         registry.keys.filter(sourceOf(_) == source).foreach(id => registry.remove(id).foreach(_.drop()))
-        f(table(tableId))
+        attempt()
     }
+  }
 
   private def lostCheckpoint(e: Throwable): Boolean =
     Iterator.iterate(e)(_.getCause).takeWhile(_ != null)
@@ -155,7 +149,8 @@ final class Engine(val spark: SparkSession) {
         val b = builders.getOrElse(builderId,
           throw new IllegalStateException(s"builder $builderId not registered"))
         val built = b(params)
-        new CachedTable(id, built.blocks, built.columnNames)
+        // Warmed here: only a blocking job cuts a cached source's lineage.
+        new CachedTable(id, built.blocks, built.columnNames).warm()
       case FilterOp(id, parentId, predId, params) =>
         val p = predicates.getOrElse(predId,
           throw new IllegalStateException(s"predicate $predId not registered"))

@@ -32,24 +32,23 @@ final case class ProgressiveResult[S](partials: Vector[Partial[S]], cancelled: B
 
 /** The distributed execution tree (§5.3): leaves run `summarize` over
   * micropartitions in parallel; aggregation nodes `merge`; the root
-  * receives either the final summary (`run`) or a stream of partial
-  * results (`runProgressive`), without waiting for stragglers.
+  * receives a stream of partial results (`runProgressive`) without
+  * waiting for stragglers. A blocking answer (`run`) is the last partial.
   *
-  * On Spark, leaves are partitions of the cached block RDD; the
-  * aggregation layer is `treeAggregate` (for `run`) or per-wave jobs whose
-  * in-wave merge models an aggregation node (for `runProgressive`).
+  * On Spark, leaves are partitions of the cached block RDD and one job
+  * runs them all: each partition merges its blocks' summaries (a
+  * worker-level aggregation node), and the root merges the partition
+  * summaries that arrive within an aggregation interval into one update.
   */
 object ExecutionTree {
 
-  /** Per-leaf summaries; blocks within a partition merge locally first
-    * (a worker-level aggregation node).
-    */
+  /** Per-leaf summaries, one per partition. */
   private[engine] def leafSummaries[S: ClassTag](t: CachedTable, sk: Sketch[S], seed: Long): RDD[S] =
     new PartitionMap(t.blocks, LeafFold(sk, seed))
 
-  /** Blocking execution: full tree, final summary only. */
-  def run[S: ClassTag](t: CachedTable, sk: Sketch[S], seed: Long = 0L, depth: Int = 2): S =
-    leafSummaries(t, sk, seed).treeAggregate(sk.zero)(sk.merge, sk.merge, depth)
+  /** Blocking execution: the final partial of `runProgressive`. */
+  def run[S: ClassTag](t: CachedTable, sk: Sketch[S], seed: Long = 0L): S =
+    runProgressive(t, sk, seed).finalValue
 
   /** Progressive execution: ALL leaves run in parallel (one Spark job);
     * as each leaf's summary arrives at the root it is queued, and the
@@ -133,7 +132,9 @@ object ExecutionTree {
   }
 }
 
-/** A leaf: summarize each block of the partition and merge them locally. */
+/** A leaf: summarize each block of the partition and merge them locally;
+  * the one place a block gets its `LeafCtx` (`LocalWorker` uses it too).
+  */
 private final case class LeafFold[S](sk: Sketch[S], seed: Long) extends PartitionFn[ColumnarBlock, S] {
   def apply(pid: Int, it: Iterator[ColumnarBlock]): Iterator[S] = {
     var acc     = sk.zero

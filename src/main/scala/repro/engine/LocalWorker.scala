@@ -1,7 +1,7 @@
 package repro.engine
 
 import java.util.concurrent.{Callable, Executors, TimeUnit}
-import repro.core.{LeafCtx, Sketch}
+import repro.core.Sketch
 import repro.storage.ColumnarBlock
 import scala.jdk.CollectionConverters._
 
@@ -10,33 +10,33 @@ import scala.jdk.CollectionConverters._
   * leafs with work to do"). Used by the microbenchmarks (§7.2), where the
   * paper pins the leaf count and thread count explicitly; the distributed
   * path is [[ExecutionTree]].
+  *
+  * Seed rule: block `i` is summarized as `LeafFold` summarizes the one
+  * block of Spark partition `i`, so on a table with one block per
+  * partition `LocalWorker` and [[ExecutionTree]] draw the same samples.
   */
 object LocalWorker {
 
-  /** Run `sk` over `blocks` with exactly `threads` leaf threads and merge
-    * the results at the (local) root. Deterministic in `seed` and block
-    * order.
+  /** Run `sk` over `blocks` with exactly `threads` leaf threads (on the
+    * calling thread when `threads == 1`) and merge the results at the
+    * (local) root. Deterministic in `seed` and block order.
     */
   def run[S](blocks: IndexedSeq[ColumnarBlock], sk: Sketch[S], threads: Int, seed: Long = 0L): S = {
     require(threads > 0, "need at least one thread")
-    if (threads == 1) {
-      var acc = sk.zero
-      var i   = 0
-      while (i < blocks.length) { acc = sk.merge(acc, sk.summarize(blocks(i), LeafCtx(i, seed))); i += 1 }
-      acc
-    } else {
-      val pool = Executors.newFixedThreadPool(threads)
-      try {
-        val tasks: java.util.List[Callable[S]] = blocks.zipWithIndex.map { case (b, i) =>
-          new Callable[S] { def call(): S = sk.summarize(b, LeafCtx(i, seed)) }
-        }.asJava.asInstanceOf[java.util.List[Callable[S]]]
-        val results = pool.invokeAll(tasks).asScala.map(_.get())
-        results.foldLeft(sk.zero)(sk.merge)
-      } finally {
-        pool.shutdown()
-        pool.awaitTermination(60, TimeUnit.SECONDS)
+    val leaf = LeafFold(sk, seed)
+    def summarize(i: Int): S = leaf(i, Iterator.single(blocks(i))).next()
+    val summaries =
+      if (threads == 1) blocks.indices.map(summarize)
+      else {
+        val pool = Executors.newFixedThreadPool(threads)
+        try pool.invokeAll(blocks.indices.map(i => new Callable[S] { def call(): S = summarize(i) }).asJava)
+          .asScala.map(_.get())
+        finally {
+          pool.shutdown()
+          pool.awaitTermination(60, TimeUnit.SECONDS)
+        }
       }
-    }
+    summaries.foldLeft(sk.zero)(sk.merge)
   }
 
   /** Wall-clock milliseconds of `run`: the minimum of `reps` after
@@ -65,7 +65,8 @@ object LocalWorker {
   * run concurrently in a real deployment and the execution tree's merge
   * cost is negligible — summaries are O(screen)-sized). This preserves
   * the paper's shapes: constant latency for streaming sketches, falling
-  * latency for sampled ones.
+  * latency for sampled ones. Server `s` is a `LocalWorker` run with seed
+  * `seed + s`, so its blocks follow `LocalWorker`'s seed rule.
   */
 object ClusterSim {
 

@@ -116,9 +116,11 @@ object ColumnStore {
     * (§5.4); we convert each Spark partition's rows into blocks as-is.
     *
     * With `cache`, the block RDD is local-checkpointed (memory-and-disk
-    * level): once the first job (`warm()`) has materialized it, its
+    * level): once a blocking job (`warm()`) has materialized it, its
     * lineage — the DataFrame's SQL plan and codegen stages — is cut, and
-    * every later task ships a pointer to the cached blocks instead. Lost
+    * every later task ships a pointer to the cached blocks instead. The
+    * asynchronous job `ExecutionTree` runs does not cut it, so warm a
+    * table before running sketches on it. Lost
     * blocks are not recomputed; the redo log rebuilds the table (§5.7).
     * Without `cache` the lineage stays, and every job re-reads the source.
     */

@@ -1,6 +1,6 @@
 package repro.engine
 
-import org.apache.spark.{SparkEnv, TaskContext}
+import org.apache.spark.SparkEnv
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
 import repro.{SparkSpec, SynthData}
@@ -18,12 +18,6 @@ class ExecutionTreeSpec extends SparkSpec {
   test("run computes the same result as a local fold") {
     val got = ExecutionTree.run(table, StreamingHistogramSketch("k", buckets))
     assert(got.counts.sum + got.outOfRange == 200000L)
-  }
-
-  test("run is independent of tree depth") {
-    val d1 = ExecutionTree.run(table, StreamingHistogramSketch("k", buckets), depth = 1)
-    val d3 = ExecutionTree.run(table, StreamingHistogramSketch("k", buckets), depth = 3)
-    assert(d1.counts.toSeq == d3.counts.toSeq)
   }
 
   test("progressive final value equals blocking run") {
@@ -133,6 +127,26 @@ class ExecutionTreeSpec extends SparkSpec {
     assert(ExecutionTree.run(table, sk, seed = 6) != a)
   }
 
+  test("LocalWorker, run and runProgressive draw the same samples on a table with one block per partition") {
+    val onePerPart = ColumnStore.fromDataFrame("uk-one-block-per-partition",
+      SynthData.uniformKeys(spark, 80000, 1000).repartition(8), blockRows = 80000).warm()
+    try {
+      assert(onePerPart.blocks.glom().map(_.length).collect().toSeq == Seq.fill(8)(1))
+      val blocks = onePerPart.blocks.collect().toIndexedSeq
+      def allRoutes[S: scala.reflect.ClassTag](sk: Sketch[S]): Seq[S] = Seq(
+        LocalWorker.run(blocks, sk, 1, seed = 5),
+        LocalWorker.run(blocks, sk, 4, seed = 5),
+        ExecutionTree.run(onePerPart, sk, seed = 5),
+        ExecutionTree.runProgressive(onePerPart, sk, seed = 5, aggregationIntervalMs = 1).finalValue)
+      val hists = allRoutes(SampledHistogramSketch("k", buckets, 0.1))
+      assert(hists.map(_.counts.toSeq).distinct.size == 1, hists.map(_.counts.sum))
+      assert(hists.map(h => (h.outOfRange, h.missing, h.sampled)).distinct.size == 1)
+      val quantiles = allRoutes(QuantileSketch(Seq(SortCol("k", ascending = false)), 500, rate = 0.02))
+      assert(quantiles.head.size == 500)
+      assert(quantiles.distinct.size == 1)
+    } finally onePerPart.drop()
+  }
+
   test("a throwing leaf fails the progressive call promptly instead of hanging") {
     import scala.concurrent.{Await, Future}
     import scala.concurrent.duration._
@@ -184,14 +198,16 @@ class ExecutionTreeSpec extends SparkSpec {
     } finally nobody.drop()
   }
 
-  /** Bytes of a leaf job's task binary: the leaf RDD and the job function,
-    * closure-serialized the way Spark's scheduler ships them to tasks.
+  /** Bytes of a leaf job's task binary: the leaf RDD and `runProgressive`'s
+    * job function, closure-serialized the way Spark's scheduler ships them
+    * to tasks. The scheduler has computed the RDD's dependencies by then,
+    * so an RDD that holds its parent only in its dependency list ships it.
     */
   private def taskBytes(t: CachedTable): Int = {
     val sk   = MomentsSketch("k")
     val leaf = ExecutionTree.leafSummaries(t, sk, 0L)
-    val func = (_: TaskContext, it: Iterator[MomentsSummary]) => it.foldLeft(sk.zero)(sk.merge)
-    SparkEnv.get.closureSerializer.newInstance().serialize((leaf, func)).limit()
+    leaf.dependencies
+    SparkEnv.get.closureSerializer.newInstance().serialize((leaf, MergeAll(sk))).limit()
   }
 
   /** A table built from `df`, one filtered from it, and one derived from
