@@ -24,7 +24,7 @@ object T1SingleThreadJob {
   def main(args: Array[String]): Unit = {
     val rows = args.headOption.map(_.toInt).getOrElse(10_000_000)
     println(T1SingleThread.render(
-      (T1SingleThread.run(rows) :+ T1SingleThread.handLoop(rows)) ++ T1SingleThread.nextItems(rows)))
+      (T1SingleThread.run(rows) ++ T1SingleThread.versusHandLoop(rows)) ++ T1SingleThread.nextItems(rows)))
   }
 }
 

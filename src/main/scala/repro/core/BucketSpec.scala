@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.storage.{Column, ColumnarBlock, DoubleColumn, StringColumn}
+import repro.storage.{Column, ColumnarBlock, DoubleColumn, PackedInts, StringColumn}
 
 /** Maps a cell to a bucket index in [0, count), or -1 when out of range /
   * missing. Charts are parameterized by one of these per axis; the number
@@ -76,13 +76,15 @@ object BoundBuckets {
   }
 
   /** String buckets over dictionary codes: `table(code)` is the bucket of
-    * dictionary entry `code`, computed once per block.
+    * dictionary entry `code`, computed once per block. The batch's codes
+    * are gathered into `out`, then mapped in place.
     */
-  private[core] final class Coded(table: Array[Int], codes: Array[Int]) extends BoundBuckets {
+  private[core] final class Coded(table: Array[Int], codes: PackedInts) extends BoundBuckets {
     def fill(rows: Array[Int], n: Int, out: Array[Int]): Unit = {
+      codes.ints(rows, n, out)
       var k = 0
       while (k < n) {
-        val c = codes(rows(k))
+        val c = out(k)
         out(k) = if (c < 0) Missing else table(c)
         k += 1
       }

@@ -51,11 +51,12 @@ final case class HllSketch(col: String, p: Int = 12) extends Sketch[HllSummary] 
     val rb   = block.batches
     block.column(col) match {
       case c: StringColumn =>
-        val used = new Array[Boolean](c.dict.length)
+        val used  = new Array[Boolean](c.dict.length)
+        val codes = new Array[Int](RowBatches.Capacity)
         while (rb.next()) {
-          val rows = rb.rows
-          var j    = 0
-          while (j < rb.size) { val code = c.codes(rows(j)); if (code >= 0) used(code) = true; j += 1 }
+          c.codes.ints(rb.rows, rb.size, codes)
+          var j = 0
+          while (j < rb.size) { val code = codes(j); if (code >= 0) used(code) = true; j += 1 }
         }
         var code = 0
         while (code < used.length) {

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.storage.{Column, ColumnarBlock, StringColumn}
+import repro.storage.{Column, ColumnarBlock, RowBatches, StringColumn}
 import scala.jdk.CollectionConverters._
 
 /** Summary: the K smallest distinct visible tuples strictly after `start`
@@ -87,11 +87,12 @@ final case class NextItemsSketch(
   private def summarizeCodes(block: ColumnarBlock, c: StringColumn): NextItemsSummary = {
     val missing = c.dict.length
     val counts  = new Array[Long](missing + 1)
+    val codes   = new Array[Int](RowBatches.Capacity)
     val rb      = block.batches
     while (rb.next()) {
-      val rows = rb.rows
-      var j    = 0
-      while (j < rb.size) { val code = c.codes(rows(j)); counts(if (code < 0) missing else code) += 1; j += 1 }
+      c.codes.ints(rb.rows, rb.size, codes)
+      var j = 0
+      while (j < rb.size) { val code = codes(j); counts(if (code < 0) missing else code) += 1; j += 1 }
     }
     def value(slot: Int): String = if (slot == missing) null else c.dict(slot)
     val sign = if (sortCols.head.ascending) 1 else -1
@@ -187,10 +188,11 @@ final case class FindTextSketch(
     */
   def summarize(block: ColumnarBlock, ctx: LeafCtx): FindTextSummary = {
     val mc = block.column(col)
-    val (codes, byCode) = mc match {
+    val (packed, byCode) = mc match {
       case c: StringColumn => (c.codes, c.dict.map(matches))
       case _               => (null, null)
     }
+    val codes  = if (packed != null) new Array[Int](RowBatches.Capacity) else null
     val names  = sortCols.map(_.name)
     val cs     = names.map(block.column).toArray
     val signs  = sortCols.map(sc => if (sc.ascending) 1 else -1).toArray
@@ -203,11 +205,12 @@ final case class FindTextSketch(
     val rb = block.batches
     while (rb.next()) {
       val rows = rb.rows
-      var j    = 0
+      if (codes != null) packed.ints(rows, rb.size, codes)
+      var j = 0
       while (j < rb.size) {
         val i = rows(j)
         val hit =
-          if (codes != null) { val code = codes(i); code >= 0 && byCode(code) }
+          if (codes != null) { val code = codes(j); code >= 0 && byCode(code) }
           else matches(mc.asString(i))
         if (hit) {
           n += 1

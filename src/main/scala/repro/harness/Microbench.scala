@@ -39,25 +39,31 @@ object T1SingleThread {
     Seq(Row("streaming", streamingMs), Row("sampling", samplingMs), Row("database system", dbMs))
   }
 
-  /** The streaming histogram's work as one plain loop over the same column
-    * and buckets as `run`: the floor for the vizketch's leaf loop. Timed
-    * like `LocalWorker.timeMs` (minimum of `reps` after two warm-ups).
+  /** The streaming histogram against its floor, one plain loop over the
+    * same column and buckets: `warmups` untimed and then `reps` timed
+    * pairs, each pair one vizketch run and one plain loop back to back, so
+    * both sides see the same JIT state and the same host. On a shared VM
+    * both slow down together for seconds at a time; timing the sides in
+    * separate windows compared a slow phase of one with a fast phase of
+    * the other. Rows: the minimum of each side.
     */
-  def handLoop(rows: Int = 10_000_000, buckets: Int = 100, reps: Int = 5): Row = {
+  def versusHandLoop(rows: Int = 10_000_000, buckets: Int = 100, reps: Int = 10,
+                     warmups: Int = 5): Seq[Row] = {
     val (blocks, _, bk) = setup(rows, buckets)
+    val sk              = StreamingHistogramSketch("x", bk)
     val xs              = values(blocks)
     val counts          = new Array[Long](bk.count)
-    val ms = (0 until reps + 2).map { _ =>
-      val t0 = System.nanoTime()
-      var i  = 0
+    def handLoop(): Unit = {
+      var i = 0
       while (i < xs.length) {
         val b = bk.indexOf(xs(i))
         if (b >= 0) counts(b) += 1
         i += 1
       }
-      (System.nanoTime() - t0) / 1e6
     }
-    Row("hand loop", ms.drop(2).min)
+    def ms(f: => Unit): Double = { val t0 = System.nanoTime(); f; (System.nanoTime() - t0) / 1e6 }
+    val pairs = (0 until warmups + reps).map(_ => (ms(LocalWorker.run(blocks, sk, 1)), ms(handLoop()))).drop(warmups)
+    Seq(Row("streaming, paired", pairs.map(_._1).min), Row("hand loop", pairs.map(_._2).min))
   }
 
   /** Next items (K = 20) sorted by the T1 column, one thread: the row path

@@ -33,9 +33,10 @@ final class CachedTable(
 ) extends Serializable {
 
   /** Member row count (filtered size). Computed once, then reused for
-    * sampling-rate calculations.
+    * sampling-rate calculations. One blocking job: only a blocking job
+    * cuts a local-checkpointed source's lineage (see `warm`).
     */
-  lazy val numRows: Long = blocks.map(_.rowCount.toLong).fold(0L)(_ + _)
+  lazy val numRows: Long = blocks.sparkContext.runJob(blocks, CountRows, 0 until numLeaves).sum
 
   def numLeaves: Int = blocks.getNumPartitions
 
@@ -93,6 +94,11 @@ final class PartitionMap[T: ClassTag, U: ClassTag](private var prev: RDD[T], f: 
   override protected def clearDependencies(): Unit = { super.clearDependencies(); prev = null }
 }
 
+/** The job function of `CachedTable.numRows`: a partition's member rows. */
+private object CountRows extends ((TaskContext, Iterator[ColumnarBlock]) => Long) with Serializable {
+  def apply(ctx: TaskContext, it: Iterator[ColumnarBlock]): Long = it.foldLeft(0L)(_ + _.rowCount)
+}
+
 private final case class FilterBlocks(pred: RowPred) extends PartitionFn[ColumnarBlock, ColumnarBlock] {
   def apply(pid: Int, it: Iterator[ColumnarBlock]): Iterator[ColumnarBlock] =
     it.map(b => b.filtered(i => pred(b, i)))
@@ -146,73 +152,70 @@ object ColumnStore {
     rows.grouped(blockRows).map(chunk => buildBlock(chunk, schema))
 
   /** Convert a chunk of Spark rows into primitive column arrays, choosing
-    * the column representation by Catalyst type (dictionary-encoding
-    * strings, epoch-day dates).
+    * the column representation and each cell's getter by Catalyst type:
+    * doubles as they are, dictionary-encoded strings, and integers and
+    * epoch-day dates packed to the narrowest width their range in the
+    * block needs (`PackedInts`; dictionary codes likewise).
     */
   def buildBlock(chunk: Seq[Row], schema: StructType): ColumnarBlock = {
     val n = chunk.size
+    // Integers, dates and codes are read into `wide`, then packed.
+    val wide = new Array[Long](n)
     val cols = schema.fields.zipWithIndex.map { case (f, fi) =>
-      f.dataType match {
+      val t  = f.dataType
+      val it = chunk.iterator
+      var i  = 0
+      t match {
         case DoubleType | FloatType | _: DecimalType =>
           val a = new Array[Double](n)
-          var i = 0
-          chunk.foreach { r =>
-            a(i) = if (r.isNullAt(fi)) Double.NaN else r.get(fi) match {
-              case d: Double               => d
-              case fl: Float               => fl.toDouble
-              case bd: java.math.BigDecimal => bd.doubleValue
-              case x: Number               => x.doubleValue
+          while (it.hasNext) {
+            val r = it.next()
+            a(i) = if (r.isNullAt(fi)) Double.NaN else t match {
+              case DoubleType => r.getDouble(fi)
+              case FloatType  => r.getFloat(fi).toDouble
+              case _          => r.getDecimal(fi).doubleValue
             }
             i += 1
           }
           f.name -> DoubleColumn(a)
 
-        case ByteType | ShortType | IntegerType | LongType | BooleanType =>
-          val a = new Array[Long](n)
-          var nulls: java.util.BitSet = null
-          var i = 0
-          chunk.foreach { r =>
-            if (r.isNullAt(fi)) {
-              if (nulls == null) nulls = new java.util.BitSet(n)
-              nulls.set(i)
-            } else a(i) = r.get(fi) match {
-              case b: Boolean => if (b) 1L else 0L
-              case x: Number  => x.longValue
-            }
-            i += 1
-          }
-          f.name -> LongColumn(a, nulls)
-
-        case DateType =>
-          val a = new Array[Int](n)
-          var nulls: java.util.BitSet = null
-          var i = 0
-          chunk.foreach { r =>
-            if (r.isNullAt(fi)) {
-              if (nulls == null) nulls = new java.util.BitSet(n)
-              nulls.set(i)
-            } else a(i) = r.getAs[java.sql.Date](fi).toLocalDate.toEpochDay.toInt
-            i += 1
-          }
-          f.name -> DateColumn(a, nulls)
-
         case StringType =>
-          val dict  = new java.util.LinkedHashMap[String, Integer]()
-          val codes = new Array[Int](n)
-          var i = 0
-          chunk.foreach { r =>
-            if (r.isNullAt(fi)) codes(i) = -1
-            else {
-              val s = r.getString(fi)
-              var c = dict.get(s)
-              if (c == null) { c = dict.size; dict.put(s, c) }
-              codes(i) = c
-            }
+          val dict = new java.util.LinkedHashMap[String, Integer]()
+          while (it.hasNext) {
+            val r = it.next()
+            wide(i) =
+              if (r.isNullAt(fi)) -1L
+              else {
+                val s = r.getString(fi)
+                var c = dict.get(s)
+                if (c == null) { c = dict.size; dict.put(s, c) }
+                c.longValue
+              }
             i += 1
           }
           val d = new Array[String](dict.size)
           dict.forEach((s, c) => d(c) = s)
-          f.name -> StringColumn(d, codes)
+          f.name -> StringColumn(d, PackedInts.pack(wide, n, null))
+
+        case ByteType | ShortType | IntegerType | LongType | BooleanType | DateType =>
+          var nulls: java.util.BitSet = null
+          while (it.hasNext) {
+            val r = it.next()
+            if (r.isNullAt(fi)) {
+              if (nulls == null) nulls = new java.util.BitSet(n)
+              nulls.set(i)
+            } else wide(i) = t match {
+              case IntegerType => r.getInt(fi).toLong
+              case LongType    => r.getLong(fi)
+              case ShortType   => r.getShort(fi).toLong
+              case ByteType    => r.getByte(fi).toLong
+              case BooleanType => if (r.getBoolean(fi)) 1L else 0L
+              case _           => r.getDate(fi).toLocalDate.toEpochDay
+            }
+            i += 1
+          }
+          val values = PackedInts.pack(wide, n, nulls)
+          f.name -> (if (t == DateType) DateColumn(values, nulls) else LongColumn(values, nulls))
 
         case other =>
           throw new IllegalArgumentException(s"unsupported column type for ${f.name}: $other")

@@ -96,6 +96,12 @@ class MicrobenchSmokeSpec extends AnyFunSuite {
     rows.foreach(r => assert(r.timeMs > 0))
   }
 
+  test("T1 hand-loop harness times the streaming vizketch and the hand loop in pairs") {
+    val rows = T1SingleThread.versusHandLoop(rows = 200000, reps = 2, warmups = 1)
+    assert(rows.map(_.method) == Seq("streaming, paired", "hand loop"))
+    rows.foreach(r => assert(r.timeMs > 0))
+  }
+
   test("T4 harness produces one row per shard count") {
     val rows = T4ThreadScalability.run(Seq(1, 2), rowsPerShard = 100000, reps = 1)
     assert(rows.map(_.shards) == Seq(1, 2))

@@ -1,8 +1,19 @@
 package repro.storage
 
+import org.apache.spark.sql.Row
+import org.apache.spark.sql.types._
+import org.apache.spark.util.SizeEstimator
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.SplitMix
 
 class ColumnSpec extends AnyFunSuite {
+
+  private def check(prop: Prop): Unit = {
+    val result = org.scalacheck.Test.check(
+      org.scalacheck.Test.Parameters.default.withMinSuccessfulTests(20), prop)
+    assert(result.passed, result.status.toString)
+  }
 
   test("DoubleColumn basic access") {
     val c = DoubleColumn(Array(1.5, 2.5, Double.NaN))
@@ -61,5 +72,180 @@ class ColumnSpec extends AnyFunSuite {
     assert(c.dict.length == 1)
     (0 until 1000).foreach(i => assert(c.asString(i) == "repeated"))
     assert(vals.length == c.size)
+  }
+
+  /** `n` values in [lo, lo + span] (span unsigned) with both ends
+    * present, and a missing-value bitset (null without nulls) whose slots
+    * hold arbitrary longs, which packing must leave out of the range.
+    */
+  private def values(n: Int, lo: Long, span: Long, withNulls: Boolean, rng: SplitMix): (Array[Long], java.util.BitSet) = {
+    val vs = Array.tabulate(n) { i =>
+      if (i == 0) lo
+      else if (i == 1) lo + span
+      else if (span == -1L) rng.nextLong()
+      else lo + java.lang.Long.remainderUnsigned(rng.nextLong(), span + 1)
+    }
+    val nulls = if (withNulls) new java.util.BitSet(n) else null
+    if (withNulls) (2 until n).foreach(i => if (rng.nextInt(5) == 0) { nulls.set(i); vs(i) = rng.nextLong() })
+    (vs, nulls)
+  }
+
+  /** Random row ids, unordered and repeated, as a batch gather sees them. */
+  private def rowIds(n: Int, rng: SplitMix): Array[Int] = Array.fill(2 * n)(rng.nextInt(n))
+
+  /** `c` agrees with the plain arrays on every cell view and the batch gather. */
+  private def agrees(c: Column, vs: Array[Long], nulls: java.util.BitSet, render: Long => String,
+                     rng: SplitMix): Boolean = {
+    def missing(i: Int) = nulls != null && nulls.get(i)
+    val cells = vs.indices.forall { i =>
+      c.isMissing(i) == missing(i) &&
+      (if (missing(i)) c.asDouble(i).isNaN && c.asString(i) == null
+       else c.asDouble(i) == vs(i).toDouble && c.asString(i) == render(vs(i)))
+    }
+    val rows = rowIds(vs.length, rng)
+    val out  = new Array[Double](rows.length)
+    c.doubles(rows, rows.length, out)
+    cells && c.size == vs.length && rows.indices.forall { k =>
+      val i = rows(k)
+      if (missing(i)) out(k).isNaN else out(k) == vs(i).toDouble
+    }
+  }
+
+  /** Spans at each width boundary and the width they pack to; -1 is
+    * Long.MinValue..Long.MaxValue (span 2^64 - 1).
+    */
+  private val Spans = Seq(0L -> 1, 255L -> 1, 256L -> 2, 65535L -> 2, 65536L -> 4,
+    0xFFFFFFFFL -> 4, 0x100000000L -> 8, -1L -> 8)
+
+  test("packed LongColumn agrees with a plain array at every width boundary") {
+    val gen = for {
+      n    <- Gen.choose(3, 700)
+      lo   <- Gen.oneOf(Gen.const(0L), Gen.choose(-1000000000000L, 1000000000000L))
+      seed <- Gen.choose(0L, 1L << 40)
+    } yield (n, lo, seed)
+    check(Prop.forAll(gen) { case (n, lo0, seed) =>
+      val rng = new SplitMix(seed)
+      Spans.forall { case (span, width) =>
+        val lo = if (span == -1L) Long.MinValue else lo0
+        Seq(false, true).forall { withNulls =>
+          val (vs, nulls) = values(n, lo, span, withNulls, rng)
+          val c = LongColumn(vs, nulls)
+          c.values.width == width && agrees(c, vs, nulls, _.toString, rng)
+        }
+      }
+    })
+  }
+
+  test("packed DateColumn agrees with a plain array, negative epoch days included") {
+    val gen = for {
+      n    <- Gen.choose(3, 700)
+      lo   <- Gen.choose(-800000, 800000)
+      seed <- Gen.choose(0L, 1L << 40)
+    } yield (n, lo, seed)
+    check(Prop.forAll(gen) { case (n, lo0, seed) =>
+      val rng = new SplitMix(seed)
+      Spans.filter(_._1 >= 0L).filter(_._1 <= 0xFFFFFFFFL).forall { case (span, width) =>
+        // Days are ints: a span past 2^31 starts at Int.MinValue.
+        val lo = if (span > Int.MaxValue) Int.MinValue.toLong else math.min(lo0.toLong, Int.MaxValue - span)
+        Seq(false, true).forall { withNulls =>
+          val (vs, nulls) = values(n, lo, span, withNulls, rng)
+          val c = DateColumn(vs.map(_.toInt), nulls)
+          c.values.width == width &&
+          agrees(c, vs, nulls, d => java.time.LocalDate.ofEpochDay(d).toString, rng)
+        }
+      }
+    })
+  }
+
+  test("packed StringColumn codes agree with a plain array for every dictionary width") {
+    val rng = new SplitMix(7)
+    Seq(1 -> 1, 127 -> 1, 128 -> 1, 255 -> 1, 256 -> 2, 32768 -> 2).foreach { case (entries, width) =>
+      val dict  = Array.tabulate(entries)(e => s"v$e")
+      val n     = 3 * entries + 10
+      val codes = Array.tabulate(n)(i => if (i < entries) i else rng.nextInt(entries + 1) - 1)
+      codes(n - 1) = -1
+      val c = StringColumn(dict, codes)
+      assert(c.codes.width == width, s"$entries entries")
+      codes.indices.foreach { i =>
+        assert(c.isMissing(i) == (codes(i) < 0))
+        assert(c.asString(i) == (if (codes(i) < 0) null else dict(codes(i))))
+        assert(c.asDouble(i).isNaN)
+      }
+      val rows = rowIds(n, rng)
+      val out  = new Array[Int](rows.length)
+      c.codes.ints(rows, rows.length, out)
+      assert(out.toSeq == rows.toSeq.map(codes), s"$entries entries")
+    }
+  }
+
+  test("a packed block of small-range longs and a 60-entry dictionary is at most a third of the wide layout") {
+    val n     = 10000
+    val rng   = new SplitMix(3)
+    val month = Array.fill(n)(1L + rng.nextInt(12))
+    val dict  = Array.tabulate(60)(e => f"AP$e%03d")
+    val codes = Array.fill(n)(rng.nextInt(dict.length))
+    val block = ColumnarBlock.of(n, "Month" -> LongColumn(month, null), "Origin" -> StringColumn(dict, codes))
+    val wide  = (month, (dict, codes))
+    val (packed, plain) = (SizeEstimator.estimate(block), SizeEstimator.estimate(wide))
+    assert(packed * 3 <= plain, s"packed $packed B, wide $plain B")
+  }
+
+  test("a packed block survives a Java round trip") {
+    val rng   = new SplitMix(11)
+    val n     = 500
+    val cols  = Spans.map { case (span, _) =>
+      val (vs, nulls) = values(n, if (span == -1L) Long.MinValue else -17L, span, withNulls = true, rng)
+      (vs, nulls, LongColumn(vs, nulls))
+    }
+    val days  = Array.fill(n)(rng.nextInt(5000) - 2500)
+    val codes = Array.fill(n)(rng.nextInt(301) - 1)
+    val dict  = Array.tabulate(300)(e => s"s$e")
+    val block = ColumnarBlock.of(n, (cols.indices.map(j => s"l$j" -> cols(j)._3) ++
+      Seq("d" -> DateColumn(days, null), "s" -> StringColumn(dict, codes))): _*)
+
+    val bytes = new java.io.ByteArrayOutputStream()
+    val out   = new java.io.ObjectOutputStream(bytes)
+    out.writeObject(block); out.close()
+    val back = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+      .readObject().asInstanceOf[ColumnarBlock]
+
+    cols.indices.foreach { j =>
+      val c = back.column(s"l$j").asInstanceOf[LongColumn]
+      assert(c.values.width == cols(j)._3.values.width)
+      assert(agrees(c, cols(j)._1, cols(j)._2, _.toString, rng), s"column l$j")
+    }
+    (0 until n).foreach { i =>
+      assert(back.column("d").asDouble(i) == days(i).toDouble)
+      assert(back.column("s").asString(i) == (if (codes(i) < 0) null else dict(codes(i))))
+    }
+  }
+
+  test("buildBlock reads every cached Catalyst type through its getter and packs integers") {
+    val schema = StructType(Seq(
+      StructField("b", ByteType), StructField("sh", ShortType), StructField("i", IntegerType),
+      StructField("l", LongType), StructField("z", BooleanType), StructField("d", DateType),
+      StructField("f", FloatType), StructField("x", DoubleType), StructField("m", DecimalType(10, 2)),
+      StructField("s", StringType)))
+    val day  = java.sql.Date.valueOf("1969-12-30")
+    val rows = Seq(
+      Row(1.toByte, 300.toShort, -70000, Long.MaxValue, true, day, 1.5f, 2.5, new java.math.BigDecimal("3.25"), "a"),
+      Row(null, null, null, null, null, null, null, null, null, null),
+      Row(-2.toByte, 0.toShort, 70000, Long.MinValue, false, java.sql.Date.valueOf("1970-01-02"), -1.5f, -2.5,
+        new java.math.BigDecimal("-3.25"), "b"))
+    val b = ColumnStore.buildBlock(rows, schema)
+    def cells(name: String) = (0 until 3).map(i => b.column(name).asString(i))
+    assert(cells("b") == Seq("1", null, "-2"))
+    assert(cells("sh") == Seq("300", null, "0"))
+    assert(cells("i") == Seq("-70000", null, "70000"))
+    assert(cells("l") == Seq(Long.MaxValue.toString, null, Long.MinValue.toString))
+    assert(cells("z") == Seq("1", null, "0"))
+    assert(cells("d") == Seq("1969-12-30", null, "1970-01-02"))
+    assert(cells("f") == Seq("1.5", null, "-1.5"))
+    assert(cells("x") == Seq("2.5", null, "-2.5"))
+    assert(cells("m") == Seq("3.25", null, "-3.25"))
+    assert(cells("s") == Seq("a", null, "b"))
+    val widths = Seq("b", "sh", "i", "l", "z", "d").map(c => b.column(c).asInstanceOf[PackedColumn].values.width)
+    assert(widths == Seq(1, 2, 4, 8, 1, 1))
+    assert(b.column("s").asInstanceOf[StringColumn].codes.width == 1)
   }
 }
