@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.storage.{Column, ColumnarBlock, DoubleColumn, PackedInts, StringColumn}
+import repro.storage.{Column, ColumnarBlock, DoubleColumn, PackedColumn, PackedInts, StringColumn}
 
 /** Maps a cell to a bucket index in [0, count), or -1 when out of range /
   * missing. Charts are parameterized by one of these per axis; the number
@@ -48,7 +48,7 @@ object BoundBuckets {
     }
   }
 
-  /** Numeric buckets over a double column's primitive array. */
+  /** Numeric buckets over a raw double column's primitive array. */
   private[core] final class Doubles(spec: NumericBuckets, values: Array[Double]) extends BoundBuckets {
     def fill(rows: Array[Int], n: Int, out: Array[Int]): Unit = {
       var k = 0
@@ -60,7 +60,7 @@ object BoundBuckets {
     }
   }
 
-  /** Numeric buckets over a numeric column's primitive array. */
+  /** Numeric buckets over a numeric column's decoded batch. */
   private[core] final class Numeric(spec: NumericBuckets, column: Column) extends BoundBuckets {
     private var xs = new Array[Double](0)
     def fill(rows: Array[Int], n: Int, out: Array[Int]): Unit = {
@@ -75,20 +75,38 @@ object BoundBuckets {
     }
   }
 
-  /** String buckets over dictionary codes: `table(code)` is the bucket of
-    * dictionary entry `code`, computed once per block. The batch's codes
-    * are gathered into `out`, then mapped in place.
+  /** Buckets over packed integer codes: `table(offset)` is the bucket of
+    * code `codes.base + offset`, computed once per block, so a batch is one
+    * gather through the table. A code that means missing (a dictionary's
+    * -1, a scaled double's missing code) has the entry `Missing`, and so
+    * do rows set in `nulls` (null for none). Binds dictionary codes (an
+    * entry per dictionary code) and narrow packed numerics (an entry per
+    * value in the block's range).
     */
-  private[core] final class Coded(table: Array[Int], codes: PackedInts) extends BoundBuckets {
+  private[core] final class Coded(table: Array[Int], codes: PackedInts, nulls: java.util.BitSet)
+      extends BoundBuckets {
     def fill(rows: Array[Int], n: Int, out: Array[Int]): Unit = {
-      codes.ints(rows, n, out)
-      var k = 0
-      while (k < n) {
-        val c = out(k)
-        out(k) = if (c < 0) Missing else table(c)
-        k += 1
+      codes.lookup(rows, n, table, out)
+      if (nulls != null) {
+        var k = 0
+        while (k < n) { if (nulls.get(rows(k))) out(k) = Missing; k += 1 }
       }
     }
+  }
+
+  private[core] object Coded {
+    /** Largest table a numeric column is bound through. */
+    val MaxTable = 65536
+
+    def apply(codes: PackedInts, nulls: java.util.BitSet)(bucketOf: Long => Int): Coded =
+      new Coded(Array.tabulate(codes.span.toInt + 1)(off => bucketOf(codes.base + off)), codes, nulls)
+
+    /** Whether a numeric table over `codes` has at most
+      * min(`MaxTable`, rows) entries, so building it costs less than the
+      * rows it replaces arithmetic on.
+      */
+    def fits(codes: PackedInts): Boolean =
+      codes.width <= 2 && codes.span < math.min(MaxTable, codes.size)
   }
 }
 
@@ -106,11 +124,21 @@ final case class NumericBuckets(min: Double, max: Double, count: Int) extends Bu
 
   def indexOf(c: Column, i: Int): Int = indexOf(c.asDouble(i))
 
-  /** Non-missing strings have no numeric value (-1), so they keep the cell path. */
-  override def bind(column: Column): BoundBuckets = column match {
-    case _: StringColumn => super.bind(column)
-    case d: DoubleColumn => new BoundBuckets.Doubles(this, d.values)
-    case _               => new BoundBuckets.Numeric(this, column)
+  /** Non-missing strings have no numeric value (-1), so they keep the
+    * cell path. A packed column whose range is narrow goes through a table
+    * of its values' buckets; raw doubles bucket their array.
+    */
+  override def bind(column: Column): BoundBuckets = {
+    def coded(codes: PackedInts, nulls: java.util.BitSet)(bucketOf: Long => Int) =
+      if (BoundBuckets.Coded.fits(codes)) BoundBuckets.Coded(codes, nulls)(bucketOf)
+      else new BoundBuckets.Numeric(this, column)
+    column match {
+      case _: StringColumn                => super.bind(column)
+      case DoubleColumn(v) if !v.isScaled => new BoundBuckets.Doubles(this, v.raw)
+      case DoubleColumn(v)                =>
+        coded(v.codes, null)(c => if (c == v.missing) BoundBuckets.Missing else indexOf(v.decode(c)))
+      case p: PackedColumn                => coded(p.values, p.nulls)(c => indexOf(c.toDouble))
+    }
   }
 
   def boundary(b: Int): Double = min + b * width
@@ -127,7 +155,8 @@ sealed trait StringBuckets extends BucketSpec {
   def indexOf(c: Column, i: Int): Int = indexOf(c.asString(i))
 
   override def bind(column: Column): BoundBuckets = column match {
-    case s: StringColumn => new BoundBuckets.Coded(s.dict.map(v => indexOf(v)), s.codes)
+    case s: StringColumn =>
+      BoundBuckets.Coded(s.codes, null)(c => if (c < 0) BoundBuckets.Missing else indexOf(s.dict(c.toInt)))
     case _               => super.bind(column)
   }
 }

@@ -4,7 +4,9 @@ import java.util.concurrent.ConcurrentHashMap
 import java.util.concurrent.atomic.AtomicLong
 
 /** The computation cache (§5.4): stores results of mergeable summaries,
-  * indexed by (dataset id, sketch cache key). Results are O(screen)-sized,
+  * indexed by (dataset key, sketch cache key); the spreadsheet's dataset
+  * key is `CachedTable.cacheKey`, the table id and the identity of its
+  * source's cached blocks. Results are O(screen)-sized,
   * so "a large number of results" fits in memory; entries are soft state —
   * clearing the cache is always safe (§5.7).
   *

@@ -156,13 +156,13 @@ final class Engine(val spark: SparkSession) {
           throw new IllegalStateException(s"predicate $predId not registered"))
         val parent = table(parentId)
         val f = parent.filter(id.split("\\|filter:").last, p(params))
-        new CachedTable(id, f.blocks, f.columnNames)
+        new CachedTable(id, f.blocks, f.columnNames, f.sourceBlocksId)
       case DeriveOp(id, parentId, col, fnId, params) =>
         val f = mapFns.getOrElse(fnId,
           throw new IllegalStateException(s"map function $fnId not registered"))
         val parent = table(parentId)
         val d = parent.derive(col, f(params))
-        new CachedTable(id, d.blocks, d.columnNames)
+        new CachedTable(id, d.blocks, d.columnNames, d.sourceBlocksId)
     }
     registry.put(op.tableId, t)
     t

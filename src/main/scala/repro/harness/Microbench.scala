@@ -80,7 +80,7 @@ object T1SingleThread {
   }
 
   private def values(blocks: IndexedSeq[ColumnarBlock]): Array[Double] =
-    blocks.head.column("x").asInstanceOf[repro.storage.DoubleColumn].values
+    blocks.head.column("x").asInstanceOf[repro.storage.DoubleColumn].values.toArray
 
   def render(rows: Seq[Row]): String =
     TableText.render("T1 (§7.2.1): single-thread histogram, time (ms)",

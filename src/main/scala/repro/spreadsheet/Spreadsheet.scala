@@ -37,13 +37,13 @@ final class Spreadsheet(val cache: ComputationCache, val defaultV: Int = 200,
   /** Column range/moments — the preparation tree of every numeric chart. */
   def range(t: CachedTable, col: String): MomentsSummary = {
     val sk = MomentsSketch(col)
-    cache.getOrCompute(t.id, sk.cacheKey)(ExecutionTree.run(t, sk))
+    cache.getOrCompute(t.cacheKey, sk.cacheKey)(ExecutionTree.run(t, sk))
   }
 
   /** Distinct-strings summary — the preparation tree of string charts. */
   def stringRange(t: CachedTable, col: String): StringBucketsSummary = {
     val sk = StringBucketsSketch(col)
-    cache.getOrCompute(t.id, sk.cacheKey)(ExecutionTree.run(t, sk))
+    cache.getOrCompute(t.cacheKey, sk.cacheKey)(ExecutionTree.run(t, sk))
   }
 
   private def timed[A](f: => A): (A, Double) = {

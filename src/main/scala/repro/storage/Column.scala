@@ -8,11 +8,13 @@ import scala.annotation.switch
   * locality" and uses "Java arrays of base types to reduce pressure on the
   * GC"; string columns "use dictionary encoding for compression". This ADT
   * mirrors that: primitive arrays per column, dictionary-encoded strings,
-  * and integers, dates and dictionary codes packed by `PackedInts` into
-  * the narrowest primitive array that holds each block's range.
+  * integers, dates and dictionary codes packed by `PackedInts` into the
+  * narrowest primitive array that holds each block's range, and doubles
+  * that are decimals stored by `PackedDoubles` as scaled packed integers.
   *
-  * Missing values: `DoubleColumn` encodes missing as NaN; `LongColumn` and
-  * `DateColumn` carry an optional bitset; `StringColumn` uses code -1.
+  * Missing values: a raw `DoubleColumn` encodes missing as NaN and a
+  * scaled one as a reserved code; `LongColumn` and `DateColumn` carry an
+  * optional bitset; `StringColumn` uses code -1.
   */
 sealed trait Column extends Serializable {
   def size: Int
@@ -33,15 +35,148 @@ sealed trait Column extends Serializable {
   def asString(i: Int): String
 }
 
-final case class DoubleColumn(values: Array[Double]) extends Column {
+final case class DoubleColumn(values: PackedDoubles) extends Column {
   def size: Int                  = values.length
-  def isMissing(i: Int): Boolean = values(i).isNaN
+  def isMissing(i: Int): Boolean = values.isMissing(i)
   def asDouble(i: Int): Double   = values(i)
   def asString(i: Int): String   = if (isMissing(i)) null else values(i).toString
 
-  def doubles(rows: Array[Int], n: Int, out: Array[Double]): Unit = {
+  def doubles(rows: Array[Int], n: Int, out: Array[Double]): Unit = values.doubles(rows, n, out)
+}
+
+object DoubleColumn {
+  /** The column of `values`, scaled or raw as `PackedDoubles` chooses. */
+  def apply(values: Array[Double]): DoubleColumn = DoubleColumn(PackedDoubles(values))
+}
+
+/** Doubles by decimal scaling (Afroozeh, Kuffó, Boncz, SIGMOD 2024): when
+  * every present value v of the block is `c / 10^k` bit for bit for an
+  * integer code |c| < 2^53 and a scale k in 0..`MaxScale`, the block is
+  * *scaled*: its codes are packed by `PackedInts`, a missing (NaN) slot
+  * holds the code `missing`, one past the largest present code, and a
+  * code decodes by dividing by the exact power of ten, so every value
+  * decodes bit for bit. k is the smallest such scale. When the codes' span
+  * is narrow (`table` has at most one entry per `RowsPerEntry` rows), the
+  * decoded value of every offset, NaN at `missing`, is kept in `table`,
+  * and a read is a gather through it instead of a division per row.
+  * Otherwise (±∞, −0.0, NaN payloads other than `Double.NaN`, codes ≥ 2^53,
+  * full-precision data) the block is *raw*: it keeps its `double[]`, NaN
+  * meaning missing. The data chooses; neither is an option.
+  */
+final class PackedDoubles private (
+    val scale: Int,
+    val codes: PackedInts,
+    val missing: Long,
+    val table: Array[Double],
+    val raw: Array[Double]
+) extends Serializable {
+  private[this] val divisor = PackedDoubles.Pow10(scale)
+
+  def isScaled: Boolean = raw == null
+  def length: Int       = if (raw != null) raw.length else codes.size
+
+  /** The value of code `code`, NaN for `missing`. */
+  def decode(code: Long): Double = if (code == missing) Double.NaN else code.toDouble / divisor
+
+  def isMissing(i: Int): Boolean = if (raw != null) raw(i).isNaN else codes(i) == missing
+
+  def apply(i: Int): Double =
+    if (raw != null) raw(i)
+    else if (table != null) table((codes(i) - codes.base).toInt)
+    else decode(codes(i))
+
+  /** `out(k) = apply(rows(k))` for k < n. */
+  def doubles(rows: Array[Int], n: Int, out: Array[Double]): Unit =
+    if (raw != null) {
+      val a = raw
+      var k = 0
+      while (k < n) { out(k) = a(rows(k)); k += 1 }
+    } else if (table != null) codes.lookup(rows, n, table, out)
+    else {
+      codes.doubles(rows, n, out)
+      val m = missing.toDouble // codes below 2^53 convert exactly
+      val d = divisor
+      var k = 0
+      while (k < n) { val c = out(k); out(k) = if (c == m) Double.NaN else c / d; k += 1 }
+    }
+
+  def toArray: Array[Double] = if (raw != null) raw.clone() else Array.tabulate(length)(apply)
+}
+
+object PackedDoubles {
+
+  /** The largest decimal scale tried. */
+  val MaxScale = 6
+
+  /** `scaleFor`'s answer once no scale up to `MaxScale` fits. */
+  val Raw = MaxScale + 1
+
+  /** A scaled block keeps a decode table of at most one entry per this
+    * many rows (8 B per entry: at most 0.5 B per row).
+    */
+  val RowsPerEntry = 16
+
+  private val Pow10: Array[Double] = Array.tabulate(Raw)(k => math.pow(10, k))
+  private val TwoTo53 = 1L << 53
+  private val NaNBits = java.lang.Double.doubleToRawLongBits(Double.NaN)
+  private val NoCode  = Long.MinValue
+
+  /** The integer c with |c| < 2^53 and `c / p` equal to `v` bit for bit;
+    * `NoCode` if there is none.
+    */
+  private def code(v: Double, p: Double): Long = {
+    val c = math.rint(v * p).toLong
+    if (c > -TwoTo53 && c < TwoTo53 &&
+        java.lang.Double.doubleToRawLongBits(c.toDouble / p) == java.lang.Double.doubleToRawLongBits(v)) c
+    else NoCode
+  }
+
+  /** The smallest scale ≥ `k` at which `v` round-trips, `Raw` if none: a
+    * block's scale is this folded over its values from 0. A value that
+    * fits at a scale fits at every larger one while its code stays below
+    * 2^53, which `pack` checks.
+    */
+  def scaleFor(v: Double, k: Int): Int =
+    if (v.isNaN) { if (java.lang.Double.doubleToRawLongBits(v) == NaNBits) k else Raw }
+    else {
+      var s = k
+      while (s < Raw && code(v, Pow10(s)) == NoCode) s += 1
+      s
+    }
+
+  /** `values` at `scale` (from `scaleFor`), codes through `scratch` (at
+    * least `values.length` longs); raw when a code does not round-trip.
+    */
+  def pack(values: Array[Double], scale: Int, scratch: Array[Long]): PackedDoubles = {
+    val n = values.length
+    if (scale >= Raw) return new PackedDoubles(0, null, 0L, null, values)
+    val p  = Pow10(scale)
+    var hi = Long.MinValue // the largest present code
+    var i  = 0
+    while (i < n) {
+      val v = values(i)
+      if (!v.isNaN) {
+        val c = code(v, p)
+        if (c == NoCode) return new PackedDoubles(0, null, 0L, null, values)
+        scratch(i) = c
+        if (c > hi) hi = c
+      }
+      i += 1
+    }
+    val missing = if (hi == Long.MinValue) 0L else hi + 1
+    i = 0
+    while (i < n) { if (values(i).isNaN) scratch(i) = missing; i += 1 }
+    val codes = PackedInts.pack(scratch, n, null)
+    val pd    = new PackedDoubles(scale, codes, missing, null, null)
+    if (codes.width > 2 || (codes.span + 1) * RowsPerEntry > n) pd
+    else new PackedDoubles(scale, codes, missing, Array.tabulate(codes.span.toInt + 1)(o => pd.decode(codes.base + o)), null)
+  }
+
+  def apply(values: Array[Double]): PackedDoubles = {
     var k = 0
-    while (k < n) { out(k) = values(rows(k)); k += 1 }
+    var i = 0
+    while (i < values.length && k < Raw) { k = scaleFor(values(i), k); i += 1 }
+    pack(values, k, new Array[Long](values.length))
   }
 }
 
@@ -52,10 +187,11 @@ final case class DoubleColumn(values: Array[Double]) extends Column {
   * takes `long` offsets (`width` 8); where max − min overflows they wrap,
   * and `base + offset` still gives each value back. The width comes from
   * the data: `long` is the widest width of this one store, not a second
-  * representation.
+  * representation. `span` is the largest offset (unsigned).
   */
 final class PackedInts private (
     val base: Long,
+    val span: Long,
     val width: Int,
     val size: Int,
     b1: Array[Byte],
@@ -82,6 +218,32 @@ final class PackedInts private (
       case 2 => val a = b2; while (k < n) { out(k) = b + (a(rows(k)) & 0xFFFF); k += 1 }
       case 4 => val a = b4; while (k < n) { out(k) = b + a(rows(k)); k += 1 }
       case _ => val a = b8; while (k < n) { out(k) = (base + a(rows(k))).toInt; k += 1 }
+    }
+  }
+
+  /** `out(k) = table(apply(rows(k)) - base)` for k < n, one loop per
+    * width: a per-block table over the offsets (at most `span` + 1 entries).
+    */
+  def lookup(rows: Array[Int], n: Int, table: Array[Int], out: Array[Int]): Unit = {
+    var k = 0
+    (width: @switch) match {
+      case 1 => val a = b1; while (k < n) { out(k) = table(a(rows(k)) & 0xFF); k += 1 }
+      case 2 => val a = b2; while (k < n) { out(k) = table(a(rows(k)) & 0xFFFF); k += 1 }
+      case 4 => val a = b4; while (k < n) { out(k) = table(a(rows(k))); k += 1 }
+      case _ => val a = b8; while (k < n) { out(k) = table(a(rows(k)).toInt); k += 1 }
+    }
+  }
+
+  /** `out(k) = table(apply(rows(k)) - base)` for k < n, one loop per
+    * width, over a table of doubles.
+    */
+  def lookup(rows: Array[Int], n: Int, table: Array[Double], out: Array[Double]): Unit = {
+    var k = 0
+    (width: @switch) match {
+      case 1 => val a = b1; while (k < n) { out(k) = table(a(rows(k)) & 0xFF); k += 1 }
+      case 2 => val a = b2; while (k < n) { out(k) = table(a(rows(k)) & 0xFFFF); k += 1 }
+      case 4 => val a = b4; while (k < n) { out(k) = table(a(rows(k))); k += 1 }
+      case _ => val a = b8; while (k < n) { out(k) = table(a(rows(k)).toInt); k += 1 }
     }
   }
 
@@ -119,19 +281,19 @@ object PackedInts {
     if (fits(0xFFL)) {
       val a = new Array[Byte](n)
       while (i < n) { a(i) = offset(i).toByte; i += 1 }
-      new PackedInts(lo, 1, n, a, null, null, null)
+      new PackedInts(lo, span, 1, n, a, null, null, null)
     } else if (fits(0xFFFFL)) {
       val a = new Array[Short](n)
       while (i < n) { a(i) = offset(i).toShort; i += 1 }
-      new PackedInts(lo, 2, n, null, a, null, null)
+      new PackedInts(lo, span, 2, n, null, a, null, null)
     } else if (fits(0xFFFFFFFFL)) {
       val a = new Array[Int](n)
       while (i < n) { a(i) = offset(i).toInt; i += 1 }
-      new PackedInts(lo, 4, n, null, null, a, null)
+      new PackedInts(lo, span, 4, n, null, null, a, null)
     } else {
       val a = new Array[Long](n)
       while (i < n) { a(i) = offset(i); i += 1 }
-      new PackedInts(lo, 8, n, null, null, null, a)
+      new PackedInts(lo, span, 8, n, null, null, null, a)
     }
   }
 

@@ -25,12 +25,26 @@ trait RowFn extends Serializable { def apply(b: ColumnarBlock, i: Int): Double }
   * `ColumnStore.fromDataFrame`), so a leaf job ships only its vizketch and
   * a pointer to the cached blocks; the engine's redo log, not Spark
   * recompute, rebuilds a dropped table.
+  *
+  * `sourceBlocksId` is the RDD id of the cached blocks of the source this
+  * table was filtered or derived from (its own blocks' for a source).
   */
 final class CachedTable(
     val id: String,
     val blocks: RDD[ColumnarBlock],
-    val columnNames: Seq[String]
+    val columnNames: Seq[String],
+    val sourceBlocksId: Int
 ) extends Serializable {
+
+  def this(id: String, blocks: RDD[ColumnarBlock], columnNames: Seq[String]) =
+    this(id, blocks, columnNames, blocks.id)
+
+  /** The key of this table's results in the computation cache: its id and
+    * its source's blocks. A source reloaded under the same id with other
+    * data gets new blocks, so its cached ranges no longer apply; a table
+    * filtered again from the same source finds them.
+    */
+  def cacheKey: String = s"$id@$sourceBlocksId"
 
   /** Member row count (filtered size). Computed once, then reused for
     * sampling-rate calculations. One blocking job: only a blocking job
@@ -44,13 +58,13 @@ final class CachedTable(
   def filter(label: String, pred: RowPred): CachedTable =
     new CachedTable(s"$id|filter:$label",
       new PartitionMap(blocks, FilterBlocks(pred)).persist(StorageLevel.MEMORY_ONLY),
-      columnNames)
+      columnNames, sourceBlocksId)
 
   /** New table with a derived double column (§5.6 user-defined maps). */
   def derive(colName: String, fn: RowFn): CachedTable =
     new CachedTable(s"$id|derive:$colName",
       new PartitionMap(blocks, DeriveBlocks(colName, fn)).persist(StorageLevel.MEMORY_ONLY),
-      columnNames :+ colName)
+      columnNames :+ colName, sourceBlocksId)
 
   /** Force materialization of the cache (the paper's warm-data setting). */
   def warm(): CachedTable = { numRows; this }
@@ -153,13 +167,15 @@ object ColumnStore {
 
   /** Convert a chunk of Spark rows into primitive column arrays, choosing
     * the column representation and each cell's getter by Catalyst type:
-    * doubles as they are, dictionary-encoded strings, and integers and
-    * epoch-day dates packed to the narrowest width their range in the
-    * block needs (`PackedInts`; dictionary codes likewise).
+    * dictionary-encoded strings, integers and epoch-day dates packed to
+    * the narrowest width their range in the block needs (`PackedInts`;
+    * dictionary codes likewise), and doubles scaled to packed integers
+    * where the block's values are decimals, as they are otherwise
+    * (`PackedDoubles`; the scale is found as the cells are read).
     */
   def buildBlock(chunk: Seq[Row], schema: StructType): ColumnarBlock = {
     val n = chunk.size
-    // Integers, dates and codes are read into `wide`, then packed.
+    // Integers, dates, codes and scaled doubles are packed from `wide`.
     val wide = new Array[Long](n)
     val cols = schema.fields.zipWithIndex.map { case (f, fi) =>
       val t  = f.dataType
@@ -167,17 +183,20 @@ object ColumnStore {
       var i  = 0
       t match {
         case DoubleType | FloatType | _: DecimalType =>
-          val a = new Array[Double](n)
+          val a     = new Array[Double](n)
+          var scale = 0
           while (it.hasNext) {
             val r = it.next()
-            a(i) = if (r.isNullAt(fi)) Double.NaN else t match {
+            val v = if (r.isNullAt(fi)) Double.NaN else t match {
               case DoubleType => r.getDouble(fi)
               case FloatType  => r.getFloat(fi).toDouble
               case _          => r.getDecimal(fi).doubleValue
             }
+            a(i) = v
+            scale = PackedDoubles.scaleFor(v, scale)
             i += 1
           }
-          f.name -> DoubleColumn(a)
+          f.name -> DoubleColumn(PackedDoubles.pack(a, scale, wide))
 
         case StringType =>
           val dict = new java.util.LinkedHashMap[String, Integer]()

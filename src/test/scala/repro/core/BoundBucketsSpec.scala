@@ -28,7 +28,9 @@ class BoundBucketsSpec extends AnyFunSuite {
   }
 
   /** A column of `n` cells of the given kind; numeric values lie on a grid
-    * around [0, 20] so they hit both ends of the numeric buckets.
+    * around [0, 20] so they hit both ends of the numeric buckets. Kind 0
+    * (quarter steps of 0.75) is a scaled double column, kind 5 (the grid
+    * plus full-precision noise) a raw one.
     */
   private def column(kind: Int, n: Int, seed: Long): Column = {
     val rng = new SplitMix(seed)
@@ -38,7 +40,8 @@ class BoundBucketsSpec extends AnyFunSuite {
       case 1 => LongColumn(Array.fill(n)(grid().toLong), null)
       case 2 => LongColumn(Array.fill(n)(grid().toLong), nulls(n, rng))
       case 3 => DateColumn(Array.fill(n)(grid()), nulls(n, rng))
-      case _ => StringColumn(Dict, Array.fill(n)(rng.nextInt(Dict.length + 2) - 2 max -1))
+      case 4 => StringColumn(Dict, Array.fill(n)(rng.nextInt(Dict.length + 2) - 2 max -1))
+      case _ => DoubleColumn(Array.fill(n)(if (rng.nextInt(6) == 0) Double.NaN else grid() + rng.nextDouble() * 0.1))
     }
   }
 
@@ -66,7 +69,7 @@ class BoundBucketsSpec extends AnyFunSuite {
   test("fill equals the row-at-a-time reference for every pairing and membership") {
     check(Prop.forAll(caseGen) { case (n, seed) =>
       val checks = for {
-        kind <- 0 to 4
+        kind <- 0 to 5
         c     = column(kind, n, seed + kind)
         spec <- specs
         m    <- memberships(n, seed)
@@ -92,12 +95,12 @@ class BoundBucketsSpec extends AnyFunSuite {
 
   test("every spec and column kind pairing is exercised, with all three outcomes") {
     val n = 3000
-    for (spec <- Seq(specs.head, specs.last); kind <- Seq(0, 2, 3, 4)) {
+    for (spec <- Seq(specs.head, specs.last); kind <- Seq(0, 2, 3, 4, 5)) {
       val c   = column(kind, n, kind)
       val out = new Array[Int](n)
       spec.bind(c).fill(Array.range(0, n), n, out)
       val seen = out.map(b => if (b >= 0) 0 else b).toSet
-      val want = if (spec.isInstanceOf[NumericBuckets] == (kind < 4)) Set(-2, -1, 0) else Set(-2, -1)
+      val want = if (spec.isInstanceOf[NumericBuckets] == (kind != 4)) Set(-2, -1, 0) else Set(-2, -1)
       assert(want.subsetOf(seen), s"${spec.params} on kind $kind saw $seen")
     }
     // The numeric maximum folds into the last bucket; outside [min, max] is -1.
@@ -105,6 +108,60 @@ class BoundBucketsSpec extends AnyFunSuite {
     val out = new Array[Int](4)
     bk.bind(DoubleColumn(Array(20.0, 0.0, 20.5, -0.25))).fill(Array(0, 1, 2, 3), 4, out)
     assert(out.toSeq == Seq(6, 0, -1, -1))
+  }
+
+  test("kinds 0 and 5 are a scaled and a raw double column") {
+    val (scaled, raw) = (column(0, 1000, 1), column(5, 1000, 2))
+    assert(scaled.asInstanceOf[DoubleColumn].values.isScaled)
+    assert(!raw.asInstanceOf[DoubleColumn].values.isScaled)
+  }
+
+  /** A scaled double, long or date column of `n` cells whose packed codes
+    * span exactly `span` from a negative base, missing in cell 2 and about
+    * a sixth of the others. A scaled double's missing cells take the code
+    * past its largest value, so its values span one less.
+    */
+  private def packedColumn(kind: Int, n: Int, span: Long, rng: SplitMix): Column = {
+    val top   = if (kind == 0) span - 1 else span
+    val lo    = -(span / 3) * 10 - 7 // not a multiple of ten: the doubles keep scale 2
+    val codes = Array.tabulate(n)(i => if (i == 0) lo else if (i == 1) lo + top else lo + (rng.nextLong() >>> 1) % (top + 1))
+    val miss  = nulls(n, rng)
+    miss.clear(0); miss.clear(1); miss.set(2)
+    kind match {
+      case 0 => DoubleColumn(Array.tabulate(n)(i => if (miss.get(i)) Double.NaN else codes(i) / 100.0))
+      case 1 => LongColumn(codes, miss)
+      case _ => DateColumn(codes.map(_.toInt), miss)
+    }
+  }
+
+  test("a packed column binds through a per-block table exactly when its span fits, and agrees with indexOf") {
+    val gen = for {
+      n    <- Gen.oneOf(Gen.choose(3, 700), Gen.const(70000))
+      seed <- Gen.choose(0L, 1L << 40)
+    } yield (n, seed)
+    check(Prop.forAll(gen) { case (n, seed) =>
+      val rng   = new SplitMix(seed)
+      val limit = math.min(BoundBuckets.Coded.MaxTable, n).toLong
+      val checks = for {
+        kind <- 0 to 2
+        span <- Seq(limit - 1, limit)
+        c     = packedColumn(kind, n, span, rng)
+        (lo, hi) = (c.asDouble(0), c.asDouble(1))
+        spec <- Seq(NumericBuckets(lo, hi, 100), NumericBuckets(lo + (hi - lo) / 4, hi - (hi - lo) / 3, 7))
+      } yield {
+        val bound = spec.bind(c)
+        val rows  = Array.fill(2 * n)(rng.nextInt(n))
+        val out   = new Array[Int](rows.length)
+        bound.fill(rows, rows.length, out)
+        val packed = c match { case DoubleColumn(v) => v.codes; case p: PackedColumn => p.values; case _ => null }
+        packed.span == span && bound.isInstanceOf[BoundBuckets.Coded] == (span < limit) &&
+        rows.indices.forall { k =>
+          val i = rows(k)
+          out(k) == (if (c.isMissing(i)) BoundBuckets.Missing else spec.indexOf(c, i))
+        }
+      }
+      checks.forall(identity)
+    })
   }
 
   // ---------- chart sketches over filtered blocks ----------

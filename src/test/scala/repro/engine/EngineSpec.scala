@@ -58,6 +58,13 @@ class EngineSpec extends SparkSpec {
     assert(e.registeredTables.contains("li"))
   }
 
+  test("engine tables filtered or derived from a source keep its cache key's blocks") {
+    val e         = newEngine()
+    val (t, f, d) = loadChain(e)
+    assert(Seq(t, f, d).map(_.sourceBlocksId) == Seq.fill(3)(t.blocks.id))
+    assert(f.cacheKey == s"${f.id}@${t.blocks.id}")
+  }
+
   test("filter and derive build derived tables with logged lineage") {
     val e  = newEngine()
     val t  = e.load("li", "lineitem", Map("sf" -> "0.002"))

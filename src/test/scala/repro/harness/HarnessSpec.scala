@@ -55,7 +55,7 @@ class DatasetsSpec extends SparkSpec {
 
   test("numericShards look like a delay column (heavy right tail)") {
     val vals = Datasets.numericShards(1, 50000).head
-      .column("x").asInstanceOf[repro.storage.DoubleColumn].values
+      .column("x").asInstanceOf[repro.storage.DoubleColumn].values.toArray
     val sorted = vals.sorted
     val median = sorted(vals.length / 2)
     val p99    = sorted((vals.length * 0.99).toInt)

@@ -24,6 +24,30 @@ class SpreadsheetSpec extends SparkSpec {
     assert(m1.count == m2.count)
   }
 
+  test("a table reloaded under the same id with other rows gets a fresh range") {
+    val s = sheet
+    def load(rows: Long) =
+      repro.storage.ColumnStore.fromDataFrame("reloaded", spark.range(rows).toDF("x"), blockRows = 1000).warm()
+    val first  = load(100)
+    val second = load(300)
+    assert(s.range(first, "x").max == 99.0)
+    assert(s.range(second, "x").max == 299.0)
+    assert(s.cache.missCount == 2 && s.cache.hitCount == 0)
+    first.drop(); second.drop()
+  }
+
+  test("filtering the same source again hits the cached range") {
+    val s = sheet
+    def delayed() = table.filter("delayed", new Positive("DepDelay")).warm()
+    val (f1, f2) = (delayed(), delayed())
+    assert(f1.cacheKey == f2.cacheKey && f1.sourceBlocksId == table.blocks.id)
+    val m1 = s.range(f1, "ArrDelay")
+    val m2 = s.range(f2, "ArrDelay")
+    assert(s.cache.missCount == 1 && s.cache.hitCount == 1)
+    assert(m1.count == m2.count && m1.min > Double.NegativeInfinity)
+    f1.drop(); f2.drop()
+  }
+
   test("histogram viz matches the exact DataFrame bucketing") {
     val s   = sheet
     val viz = s.histogram(table, "Distance", buckets = 20, sampled = false)
@@ -183,4 +207,9 @@ final case class DelayedLeaves[S](inner: Sketch[S], delayMs: Long) extends Sketc
     inner.summarize(b, ctx)
   }
   def merge(a: S, b: S): S = inner.merge(a, b)
+}
+
+/** Rows whose `column` is positive. */
+final class Positive(column: String) extends repro.storage.RowPred {
+  def apply(b: repro.storage.ColumnarBlock, i: Int): Boolean = b.column(column).asDouble(i) > 0.0
 }

@@ -220,6 +220,146 @@ class ColumnSpec extends AnyFunSuite {
     }
   }
 
+  // ---------- scaled doubles ----------
+
+  private def bits(x: Double): Long = java.lang.Double.doubleToRawLongBits(x)
+
+  /** `c` holds `vs` bit for bit on every cell view and the batch gather. */
+  private def holds(c: DoubleColumn, vs: Array[Double], rng: SplitMix): Boolean = {
+    val cells = vs.indices.forall { i =>
+      bits(c.asDouble(i)) == bits(vs(i)) && c.isMissing(i) == vs(i).isNaN &&
+      c.asString(i) == (if (vs(i).isNaN) null else vs(i).toString)
+    }
+    val rows = rowIds(vs.length, rng)
+    val out  = new Array[Double](rows.length)
+    c.doubles(rows, rows.length, out)
+    cells && c.size == vs.length && c.values.toArray.map(bits).toSeq == vs.map(bits).toSeq &&
+    rows.indices.forall(k => bits(out(k)) == bits(vs(rows(k))))
+  }
+
+  /** Spans of present codes: narrow enough for a decode table in longer
+    * blocks, and at each width boundary.
+    */
+  private val CodeSpans = Seq(9L, 255L, 65535L, 0xFFFFFFFFL, 0x200000000L)
+
+  /** The width offsets up to `span` pack to. */
+  private def widthOf(span: Long): Int =
+    if (span <= 0xFFL) 1 else if (span <= 0xFFFFL) 2 else if (span <= 0xFFFFFFFFL) 4 else 8
+
+  /** `n` values `c / 10^scale` for codes c in [lo, lo + span] with both
+    * ends present; `lo` ends in 3, so no smaller scale holds it. NaN in
+    * about a fifth of the other slots with `withNaN`.
+    */
+  private def decimals(n: Int, lo: Long, span: Long, scale: Int, withNaN: Boolean, rng: SplitMix): Array[Double] = {
+    val p = math.pow(10, scale)
+    Array.tabulate(n) { i =>
+      val c = if (i == 0) lo else if (i == 1) lo + span else lo + java.lang.Long.remainderUnsigned(rng.nextLong(), span + 1)
+      if (withNaN && i > 1 && rng.nextInt(5) == 0) Double.NaN else c.toDouble / p
+    }
+  }
+
+  test("scaled doubles decode bit for bit at every scale and width, with and without a decode table, raw one decimal past the last scale") {
+    val gen = for {
+      n    <- Gen.choose(3, 700)
+      lo   <- Gen.choose(-100000000L, 100000000L)
+      seed <- Gen.choose(0L, 1L << 40)
+    } yield (n, lo * 10 + 3, seed)
+    check(Prop.forAll(gen) { case (n, lo, seed) =>
+      val rng = new SplitMix(seed)
+      (0 to PackedDoubles.MaxScale + 1).forall { scale =>
+        CodeSpans.forall { span =>
+          Seq(false, true).forall { withNaN =>
+            val vs = decimals(n, lo, span, scale, withNaN, rng)
+            val c  = DoubleColumn(vs)
+            // A missing value takes the code past the largest one.
+            val codeSpan = if (vs.exists(_.isNaN)) span + 1 else span
+            val tabled   = codeSpan < 0xFFFFL && (codeSpan + 1) * PackedDoubles.RowsPerEntry <= n
+            val shape =
+              if (scale > PackedDoubles.MaxScale) !c.values.isScaled
+              else c.values.isScaled && c.values.scale == scale && c.values.codes.width == widthOf(codeSpan) &&
+                (c.values.table != null) == tabled
+            shape && holds(c, vs, rng)
+          }
+        }
+      }
+    })
+  }
+
+  test("infinities, negative zero, other NaNs and codes of 2^53 keep the raw array") {
+    val specials = Seq(Double.PositiveInfinity, Double.NegativeInfinity, -0.0, 9007199254740992.0,
+      -9007199254740992.0, java.lang.Double.longBitsToDouble(0x7ff8000000000001L), 1e300)
+    val gen = for {
+      n    <- Gen.choose(1, 500)
+      seed <- Gen.choose(0L, 1L << 40)
+    } yield (n, seed)
+    check(Prop.forAll(gen) { case (n, seed) =>
+      val rng = new SplitMix(seed)
+      specials.forall { x =>
+        val vs = decimals(n + 2, -5003L, 4000L, 1, withNaN = true, rng)
+        vs(2 + rng.nextInt(n)) = x
+        val c = DoubleColumn(vs)
+        !c.values.isScaled && (c.values.raw eq vs) && holds(c, vs, rng)
+      }
+    })
+  }
+
+  test("an all-missing double block is scaled with every slot missing") {
+    val vs = Array.fill(300)(Double.NaN)
+    val c  = DoubleColumn(vs)
+    assert(c.values.isScaled && c.values.scale == 0 && c.values.codes.width == 1 && c.values.table.toSeq.forall(_.isNaN))
+    assert(holds(c, vs, new SplitMix(5)))
+    assert(holds(DoubleColumn(Array.empty[Double]), Array.empty[Double], new SplitMix(5)))
+  }
+
+  test("a block of one-decimal doubles is at most a third of the double array") {
+    val n   = 10000
+    val rng = new SplitMix(13)
+    val vs  = Array.fill(n)(if (rng.nextInt(50) == 0) Double.NaN else math.round(rng.nextGaussian() * 90) / 10.0)
+    val block = ColumnarBlock.of(n, "DepDelay" -> DoubleColumn(vs))
+    assert(block.column("DepDelay").asInstanceOf[DoubleColumn].values.scale == 1)
+    val (packed, plain) = (SizeEstimator.estimate(block), SizeEstimator.estimate(vs))
+    assert(packed * 3 <= plain, s"packed $packed B, double[] $plain B")
+  }
+
+  test("a block of a scaled and a raw double column survives a Java round trip") {
+    val rng    = new SplitMix(17)
+    val scaled = decimals(1000, -2993L, 70000L, 2, withNaN = true, rng)
+    val raw    = Array.fill(1000)(if (rng.nextInt(9) == 0) Double.NaN else rng.nextDouble() * 100)
+    val block  = ColumnarBlock.of(1000, "s" -> DoubleColumn(scaled), "r" -> DoubleColumn(raw))
+    val bytes  = new java.io.ByteArrayOutputStream()
+    val out    = new java.io.ObjectOutputStream(bytes)
+    out.writeObject(block); out.close()
+    val back = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+      .readObject().asInstanceOf[ColumnarBlock]
+    val (s, r) = (back.column("s").asInstanceOf[DoubleColumn], back.column("r").asInstanceOf[DoubleColumn])
+    assert(s.values.isScaled && s.values.scale == 2 && s.values.codes.width == 4)
+    assert(!r.values.isScaled)
+    assert(holds(s, scaled, rng) && holds(r, raw, rng))
+  }
+
+  test("buildBlock scales Double, Float and Decimal cells that are decimals and keeps the others raw") {
+    val schema = StructType(Seq(
+      StructField("x", DoubleType), StructField("f", FloatType), StructField("m", DecimalType(12, 3)),
+      StructField("full", DoubleType), StructField("tenth", FloatType)))
+    val rows = Seq(
+      Row(12.3, 1.5f, new java.math.BigDecimal("3.125"), math.Pi, 0.1f),
+      Row(null, null, null, null, null),
+      Row(-0.7, -2.25f, new java.math.BigDecimal("-100.5"), 1.0, 2.0f),
+      Row(4.0, 0.0f, new java.math.BigDecimal("0"), -2.0, 3.0f))
+    val b = ColumnStore.buildBlock(rows, schema)
+    def col(name: String) = b.column(name).asInstanceOf[DoubleColumn]
+    val want = Map(
+      "x"     -> Seq(12.3, Double.NaN, -0.7, 4.0),
+      "f"     -> Seq(1.5, Double.NaN, -2.25, 0.0),
+      "m"     -> Seq(3.125, Double.NaN, -100.5, 0.0),
+      "full"  -> Seq(math.Pi, Double.NaN, 1.0, -2.0),
+      "tenth" -> Seq(0.1f.toDouble, Double.NaN, 2.0, 3.0))
+    want.foreach { case (name, vs) => assert(holds(col(name), vs.toArray, new SplitMix(1)), name) }
+    assert(Seq("x", "f", "m").map(n => col(n).values.scale) == Seq(1, 2, 3))
+    assert(Seq("x", "f", "m").forall(n => col(n).values.isScaled))
+    assert(!col("full").values.isScaled && !col("tenth").values.isScaled)
+  }
+
   test("buildBlock reads every cached Catalyst type through its getter and packs integers") {
     val schema = StructType(Seq(
       StructField("b", ByteType), StructField("sh", ShortType), StructField("i", IntegerType),
