@@ -80,8 +80,9 @@ object BoundBuckets {
     * gather through the table. A code that means missing (a dictionary's
     * -1, a scaled double's missing code) has the entry `Missing`, and so
     * do rows set in `nulls` (null for none). Binds dictionary codes (an
-    * entry per dictionary code) and narrow packed numerics (an entry per
-    * value in the block's range).
+    * entry per dictionary code), scaled doubles (an entry per decode-table
+    * entry) and narrow packed integers (an entry per value in the block's
+    * range).
     */
   private[core] final class Coded(table: Array[Int], codes: PackedInts, nulls: java.util.BitSet)
       extends BoundBuckets {
@@ -95,18 +96,17 @@ object BoundBuckets {
   }
 
   private[core] object Coded {
-    /** Largest table a numeric column is bound through. */
+    /** Largest table a packed integer column is bound through. */
     val MaxTable = 65536
 
     def apply(codes: PackedInts, nulls: java.util.BitSet)(bucketOf: Long => Int): Coded =
       new Coded(Array.tabulate(codes.span.toInt + 1)(off => bucketOf(codes.base + off)), codes, nulls)
 
-    /** Whether a numeric table over `codes` has at most
-      * min(`MaxTable`, rows) entries, so building it costs less than the
-      * rows it replaces arithmetic on.
+    /** Whether a table over `codes` has at most min(`MaxTable`, rows)
+      * entries, so building it costs less than the rows it replaces
+      * arithmetic on.
       */
-    def fits(codes: PackedInts): Boolean =
-      codes.width <= 2 && codes.span < math.min(MaxTable, codes.size)
+    def fits(codes: PackedInts): Boolean = codes.span < math.min(MaxTable, codes.size)
   }
 }
 
@@ -125,20 +125,18 @@ final case class NumericBuckets(min: Double, max: Double, count: Int) extends Bu
   def indexOf(c: Column, i: Int): Int = indexOf(c.asDouble(i))
 
   /** Non-missing strings have no numeric value (-1), so they keep the
-    * cell path. A packed column whose range is narrow goes through a table
+    * cell path. A scaled double goes through the buckets of its decode
+    * table, a packed integer column whose range is narrow through a table
     * of its values' buckets; raw doubles bucket their array.
     */
-  override def bind(column: Column): BoundBuckets = {
-    def coded(codes: PackedInts, nulls: java.util.BitSet)(bucketOf: Long => Int) =
-      if (BoundBuckets.Coded.fits(codes)) BoundBuckets.Coded(codes, nulls)(bucketOf)
+  override def bind(column: Column): BoundBuckets = column match {
+    case _: StringColumn                => super.bind(column)
+    case DoubleColumn(v) if !v.isScaled => new BoundBuckets.Doubles(this, v.raw)
+    case DoubleColumn(v)                =>
+      new BoundBuckets.Coded(v.table.map(x => if (x.isNaN) BoundBuckets.Missing else indexOf(x)), v.codes, null)
+    case p: PackedColumn                =>
+      if (BoundBuckets.Coded.fits(p.values)) BoundBuckets.Coded(p.values, p.nulls)(c => indexOf(c.toDouble))
       else new BoundBuckets.Numeric(this, column)
-    column match {
-      case _: StringColumn                => super.bind(column)
-      case DoubleColumn(v) if !v.isScaled => new BoundBuckets.Doubles(this, v.raw)
-      case DoubleColumn(v)                =>
-        coded(v.codes, null)(c => if (c == v.missing) BoundBuckets.Missing else indexOf(v.decode(c)))
-      case p: PackedColumn                => coded(p.values, p.nulls)(c => indexOf(c.toDouble))
-    }
   }
 
   def boundary(b: Int): Double = min + b * width

@@ -13,8 +13,8 @@ import scala.annotation.switch
   * that are decimals stored by `PackedDoubles` as scaled packed integers.
   *
   * Missing values: a raw `DoubleColumn` encodes missing as NaN and a
-  * scaled one as a reserved code; `LongColumn` and `DateColumn` carry an
-  * optional bitset; `StringColumn` uses code -1.
+  * scaled one as a reserved code that decodes to NaN; `LongColumn` and
+  * `DateColumn` carry an optional bitset; `StringColumn` uses code -1.
   */
 sealed trait Column extends Serializable {
   def size: Int
@@ -51,39 +51,31 @@ object DoubleColumn {
 
 /** Doubles by decimal scaling (Afroozeh, Kuffó, Boncz, SIGMOD 2024): when
   * every present value v of the block is `c / 10^k` bit for bit for an
-  * integer code |c| < 2^53 and a scale k in 0..`MaxScale`, the block is
-  * *scaled*: its codes are packed by `PackedInts`, a missing (NaN) slot
-  * holds the code `missing`, one past the largest present code, and a
-  * code decodes by dividing by the exact power of ten, so every value
-  * decodes bit for bit. k is the smallest such scale. When the codes' span
-  * is narrow (`table` has at most one entry per `RowsPerEntry` rows), the
-  * decoded value of every offset, NaN at `missing`, is kept in `table`,
-  * and a read is a gather through it instead of a division per row.
-  * Otherwise (±∞, −0.0, NaN payloads other than `Double.NaN`, codes ≥ 2^53,
-  * full-precision data) the block is *raw*: it keeps its `double[]`, NaN
-  * meaning missing. The data chooses; neither is an option.
+  * integer code |c| < 2^53 and a scale k in 0..`MaxScale` (the smallest
+  * such k), and the codes' span + 1 is at most one per `RowsPerEntry`
+  * rows, the block is *scaled*: its codes are packed by `PackedInts`, a
+  * missing (NaN) slot holds the code one past the largest present one,
+  * and `table` holds the decoded value of every offset, the code divided
+  * by the exact power of ten (NaN at the missing code), so a read is one
+  * gather through it and every value decodes bit for bit. Otherwise
+  * (±∞, −0.0, NaN payloads other than `Double.NaN`, codes ≥ 2^53,
+  * full-precision data, spans too wide for the table) the block is *raw*:
+  * it keeps its `double[]`, NaN meaning missing. The data chooses;
+  * neither is an option.
   */
 final class PackedDoubles private (
     val scale: Int,
     val codes: PackedInts,
-    val missing: Long,
     val table: Array[Double],
     val raw: Array[Double]
 ) extends Serializable {
-  private[this] val divisor = PackedDoubles.Pow10(scale)
 
   def isScaled: Boolean = raw == null
   def length: Int       = if (raw != null) raw.length else codes.size
 
-  /** The value of code `code`, NaN for `missing`. */
-  def decode(code: Long): Double = if (code == missing) Double.NaN else code.toDouble / divisor
+  def apply(i: Int): Double = if (raw != null) raw(i) else table((codes(i) - codes.base).toInt)
 
-  def isMissing(i: Int): Boolean = if (raw != null) raw(i).isNaN else codes(i) == missing
-
-  def apply(i: Int): Double =
-    if (raw != null) raw(i)
-    else if (table != null) table((codes(i) - codes.base).toInt)
-    else decode(codes(i))
+  def isMissing(i: Int): Boolean = apply(i).isNaN
 
   /** `out(k) = apply(rows(k))` for k < n. */
   def doubles(rows: Array[Int], n: Int, out: Array[Double]): Unit =
@@ -91,14 +83,7 @@ final class PackedDoubles private (
       val a = raw
       var k = 0
       while (k < n) { out(k) = a(rows(k)); k += 1 }
-    } else if (table != null) codes.lookup(rows, n, table, out)
-    else {
-      codes.doubles(rows, n, out)
-      val m = missing.toDouble // codes below 2^53 convert exactly
-      val d = divisor
-      var k = 0
-      while (k < n) { val c = out(k); out(k) = if (c == m) Double.NaN else c / d; k += 1 }
-    }
+    } else codes.lookup(rows, n, table, out)
 
   def toArray: Array[Double] = if (raw != null) raw.clone() else Array.tabulate(length)(apply)
 }
@@ -108,15 +93,14 @@ object PackedDoubles {
   /** The largest decimal scale tried. */
   val MaxScale = 6
 
-  /** `scaleFor`'s answer once no scale up to `MaxScale` fits. */
-  val Raw = MaxScale + 1
-
-  /** A scaled block keeps a decode table of at most one entry per this
-    * many rows (8 B per entry: at most 0.5 B per row).
+  /** A scaled block's decode table has at most one entry per this many
+    * rows: 8 B per entry, so at most 0.5 B per row, and a block of up to
+    * 2^20 rows packs its codes in 1 or 2 B.
     */
   val RowsPerEntry = 16
 
-  private val Pow10: Array[Double] = Array.tabulate(Raw)(k => math.pow(10, k))
+  private val Raw     = MaxScale + 1
+  private val Pow10   = Array.tabulate(Raw)(k => math.pow(10, k))
   private val TwoTo53 = 1L << 53
   private val NaNBits = java.lang.Double.doubleToRawLongBits(Double.NaN)
   private val NoCode  = Long.MinValue
@@ -131,12 +115,11 @@ object PackedDoubles {
     else NoCode
   }
 
-  /** The smallest scale ≥ `k` at which `v` round-trips, `Raw` if none: a
-    * block's scale is this folded over its values from 0. A value that
-    * fits at a scale fits at every larger one while its code stays below
-    * 2^53, which `pack` checks.
+  /** The smallest scale ≥ `k` at which `v` round-trips, `Raw` if none. A
+    * value that fits at a scale fits at every larger one while its code
+    * stays below 2^53, which `apply` checks as it packs.
     */
-  def scaleFor(v: Double, k: Int): Int =
+  private def scaleFor(v: Double, k: Int): Int =
     if (v.isNaN) { if (java.lang.Double.doubleToRawLongBits(v) == NaNBits) k else Raw }
     else {
       var s = k
@@ -144,39 +127,46 @@ object PackedDoubles {
       s
     }
 
-  /** `values` at `scale` (from `scaleFor`), codes through `scratch` (at
-    * least `values.length` longs); raw when a code does not round-trip.
+  /** `values` scaled, or raw (the same array) when the block is not
+    * decimal or its codes span too wide. Codes go through `scratch` when
+    * given (at least `values.length` longs).
     */
-  def pack(values: Array[Double], scale: Int, scratch: Array[Long]): PackedDoubles = {
-    val n = values.length
-    if (scale >= Raw) return new PackedDoubles(0, null, 0L, null, values)
-    val p  = Pow10(scale)
-    var hi = Long.MinValue // the largest present code
-    var i  = 0
+  def apply(values: Array[Double], scratch: Array[Long] = null): PackedDoubles = {
+    val n   = values.length
+    val raw = new PackedDoubles(0, null, null, values)
+    var k   = 0
+    var i   = 0
+    while (i < n && k < Raw) { k = scaleFor(values(i), k); i += 1 }
+    if (k == Raw) return raw
+    val p     = Pow10(k)
+    val codes = if (scratch == null) new Array[Long](n) else scratch
+    var lo    = Long.MaxValue
+    var hi    = Long.MinValue
+    var nan   = false
+    i = 0
     while (i < n) {
       val v = values(i)
-      if (!v.isNaN) {
+      if (v.isNaN) nan = true
+      else {
         val c = code(v, p)
-        if (c == NoCode) return new PackedDoubles(0, null, 0L, null, values)
-        scratch(i) = c
+        if (c == NoCode) return raw
+        codes(i) = c
+        if (c < lo) lo = c
         if (c > hi) hi = c
       }
       i += 1
     }
-    val missing = if (hi == Long.MinValue) 0L else hi + 1
+    if (lo > hi) { lo = 0L; hi = -1L } // no value present: every slot takes code 0
+    val missing = hi + 1
+    if (((if (nan) missing else hi) - lo + 1) * RowsPerEntry > n) return raw
     i = 0
-    while (i < n) { if (values(i).isNaN) scratch(i) = missing; i += 1 }
-    val codes = PackedInts.pack(scratch, n, null)
-    val pd    = new PackedDoubles(scale, codes, missing, null, null)
-    if (codes.width > 2 || (codes.span + 1) * RowsPerEntry > n) pd
-    else new PackedDoubles(scale, codes, missing, Array.tabulate(codes.span.toInt + 1)(o => pd.decode(codes.base + o)), null)
-  }
-
-  def apply(values: Array[Double]): PackedDoubles = {
-    var k = 0
-    var i = 0
-    while (i < values.length && k < Raw) { k = scaleFor(values(i), k); i += 1 }
-    pack(values, k, new Array[Long](values.length))
+    while (i < n) { if (values(i).isNaN) codes(i) = missing; i += 1 }
+    val packed = PackedInts.pack(codes, n, null)
+    val table = Array.tabulate(packed.span.toInt + 1) { o =>
+      val c = packed.base + o
+      if (c == missing) Double.NaN else c.toDouble / p
+    }
+    new PackedDoubles(k, packed, table, null)
   }
 }
 

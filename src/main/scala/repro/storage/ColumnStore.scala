@@ -170,8 +170,8 @@ object ColumnStore {
     * dictionary-encoded strings, integers and epoch-day dates packed to
     * the narrowest width their range in the block needs (`PackedInts`;
     * dictionary codes likewise), and doubles scaled to packed integers
-    * where the block's values are decimals, as they are otherwise
-    * (`PackedDoubles`; the scale is found as the cells are read).
+    * where the block's values are decimals of a narrow span, as they are
+    * otherwise (`PackedDoubles`).
     */
   def buildBlock(chunk: Seq[Row], schema: StructType): ColumnarBlock = {
     val n = chunk.size
@@ -183,20 +183,17 @@ object ColumnStore {
       var i  = 0
       t match {
         case DoubleType | FloatType | _: DecimalType =>
-          val a     = new Array[Double](n)
-          var scale = 0
+          val a = new Array[Double](n)
           while (it.hasNext) {
             val r = it.next()
-            val v = if (r.isNullAt(fi)) Double.NaN else t match {
+            a(i) = if (r.isNullAt(fi)) Double.NaN else t match {
               case DoubleType => r.getDouble(fi)
               case FloatType  => r.getFloat(fi).toDouble
               case _          => r.getDecimal(fi).doubleValue
             }
-            a(i) = v
-            scale = PackedDoubles.scaleFor(v, scale)
             i += 1
           }
-          f.name -> DoubleColumn(PackedDoubles.pack(a, scale, wide))
+          f.name -> DoubleColumn(PackedDoubles(a, wide))
 
         case StringType =>
           val dict = new java.util.LinkedHashMap[String, Integer]()

@@ -29,14 +29,15 @@ class BoundBucketsSpec extends AnyFunSuite {
 
   /** A column of `n` cells of the given kind; numeric values lie on a grid
     * around [0, 20] so they hit both ends of the numeric buckets. Kind 0
-    * (quarter steps of 0.75) is a scaled double column, kind 5 (the grid
-    * plus full-precision noise) a raw one.
+    * (half steps, code span 146) is a scaled double column in blocks of
+    * 16 × 147 rows or more and a raw one in smaller blocks; kind 5 (the
+    * grid plus full-precision noise) is always raw.
     */
   private def column(kind: Int, n: Int, seed: Long): Column = {
     val rng = new SplitMix(seed)
     def grid(): Int = rng.nextInt(30) - 5
     kind match {
-      case 0 => DoubleColumn(Array.fill(n)(if (rng.nextInt(6) == 0) Double.NaN else grid() * 0.75))
+      case 0 => DoubleColumn(Array.fill(n)(if (rng.nextInt(6) == 0) Double.NaN else grid() * 0.5))
       case 1 => LongColumn(Array.fill(n)(grid().toLong), null)
       case 2 => LongColumn(Array.fill(n)(grid().toLong), nulls(n, rng))
       case 3 => DateColumn(Array.fill(n)(grid()), nulls(n, rng))
@@ -111,15 +112,16 @@ class BoundBucketsSpec extends AnyFunSuite {
   }
 
   test("kinds 0 and 5 are a scaled and a raw double column") {
-    val (scaled, raw) = (column(0, 1000, 1), column(5, 1000, 2))
+    val (scaled, raw) = (column(0, 3000, 1), column(5, 3000, 2))
     assert(scaled.asInstanceOf[DoubleColumn].values.isScaled)
     assert(!raw.asInstanceOf[DoubleColumn].values.isScaled)
+    assert(!column(0, 2000, 1).asInstanceOf[DoubleColumn].values.isScaled)
   }
 
-  /** A scaled double, long or date column of `n` cells whose packed codes
-    * span exactly `span` from a negative base, missing in cell 2 and about
-    * a sixth of the others. A scaled double's missing cells take the code
-    * past its largest value, so its values span one less.
+  /** A double, long or date column of `n` cells whose packed codes span
+    * exactly `span` from a negative base, missing in cell 2 and about a
+    * sixth of the others. A double's missing cells take the code past its
+    * largest value, so its values span one less.
     */
   private def packedColumn(kind: Int, n: Int, span: Long, rng: SplitMix): Column = {
     val top   = if (kind == 0) span - 1 else span
@@ -140,11 +142,14 @@ class BoundBucketsSpec extends AnyFunSuite {
       seed <- Gen.choose(0L, 1L << 40)
     } yield (n, seed)
     check(Prop.forAll(gen) { case (n, seed) =>
-      val rng   = new SplitMix(seed)
-      val limit = math.min(BoundBuckets.Coded.MaxTable, n).toLong
+      val rng = new SplitMix(seed)
+      // A double is scaled, and so bound through its decode table, while
+      // that table fits; a long or date while its bucket table does.
+      def limit(kind: Int): Long =
+        if (kind == 0) (n / PackedDoubles.RowsPerEntry).toLong else math.min(BoundBuckets.Coded.MaxTable, n).toLong
       val checks = for {
         kind <- 0 to 2
-        span <- Seq(limit - 1, limit)
+        span <- Seq(limit(kind) - 1, limit(kind)) if span >= 1
         c     = packedColumn(kind, n, span, rng)
         (lo, hi) = (c.asDouble(0), c.asDouble(1))
         spec <- Seq(NumericBuckets(lo, hi, 100), NumericBuckets(lo + (hi - lo) / 4, hi - (hi - lo) / 3, 7))
@@ -153,8 +158,12 @@ class BoundBucketsSpec extends AnyFunSuite {
         val rows  = Array.fill(2 * n)(rng.nextInt(n))
         val out   = new Array[Int](rows.length)
         bound.fill(rows, rows.length, out)
-        val packed = c match { case DoubleColumn(v) => v.codes; case p: PackedColumn => p.values; case _ => null }
-        packed.span == span && bound.isInstanceOf[BoundBuckets.Coded] == (span < limit) &&
+        val shape = c match {
+          case DoubleColumn(v)  => v.isScaled == (span < limit(kind)) && (!v.isScaled || v.codes.span == span)
+          case p: PackedColumn  => p.values.span == span
+          case _                => false
+        }
+        shape && bound.isInstanceOf[BoundBuckets.Coded] == (span < limit(kind)) &&
         rows.indices.forall { k =>
           val i = rows(k)
           out(k) == (if (c.isMissing(i)) BoundBuckets.Missing else spec.indexOf(c, i))

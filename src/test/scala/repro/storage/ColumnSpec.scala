@@ -240,7 +240,7 @@ class ColumnSpec extends AnyFunSuite {
   /** Spans of present codes: narrow enough for a decode table in longer
     * blocks, and at each width boundary.
     */
-  private val CodeSpans = Seq(9L, 255L, 65535L, 0xFFFFFFFFL, 0x200000000L)
+  private val CodeSpans = Seq(9L, 255L, 300L, 65535L, 0xFFFFFFFFL, 0x200000000L)
 
   /** The width offsets up to `span` pack to. */
   private def widthOf(span: Long): Int =
@@ -258,9 +258,9 @@ class ColumnSpec extends AnyFunSuite {
     }
   }
 
-  test("scaled doubles decode bit for bit at every scale and width, with and without a decode table, raw one decimal past the last scale") {
+  test("scaled doubles decode bit for bit at every scale, raw one decimal past the last scale or when the span outgrows the decode table") {
     val gen = for {
-      n    <- Gen.choose(3, 700)
+      n    <- Gen.oneOf(Gen.choose(3, 700), Gen.const(5000))
       lo   <- Gen.choose(-100000000L, 100000000L)
       seed <- Gen.choose(0L, 1L << 40)
     } yield (n, lo * 10 + 3, seed)
@@ -273,11 +273,11 @@ class ColumnSpec extends AnyFunSuite {
             val c  = DoubleColumn(vs)
             // A missing value takes the code past the largest one.
             val codeSpan = if (vs.exists(_.isNaN)) span + 1 else span
-            val tabled   = codeSpan < 0xFFFFL && (codeSpan + 1) * PackedDoubles.RowsPerEntry <= n
             val shape =
-              if (scale > PackedDoubles.MaxScale) !c.values.isScaled
+              if (scale > PackedDoubles.MaxScale || (codeSpan + 1) * PackedDoubles.RowsPerEntry > n)
+                !c.values.isScaled && (c.values.raw eq vs)
               else c.values.isScaled && c.values.scale == scale && c.values.codes.width == widthOf(codeSpan) &&
-                (c.values.table != null) == tabled
+                c.values.table.length == codeSpan + 1
             shape && holds(c, vs, rng)
           }
         }
@@ -289,16 +289,17 @@ class ColumnSpec extends AnyFunSuite {
     val specials = Seq(Double.PositiveInfinity, Double.NegativeInfinity, -0.0, 9007199254740992.0,
       -9007199254740992.0, java.lang.Double.longBitsToDouble(0x7ff8000000000001L), 1e300)
     val gen = for {
-      n    <- Gen.choose(1, 500)
+      n    <- Gen.choose(100, 500)
       seed <- Gen.choose(0L, 1L << 40)
     } yield (n, seed)
     check(Prop.forAll(gen) { case (n, seed) =>
       val rng = new SplitMix(seed)
       specials.forall { x =>
-        val vs = decimals(n + 2, -5003L, 4000L, 1, withNaN = true, rng)
+        val vs     = decimals(n + 2, -5003L, 3L, 1, withNaN = true, rng)
+        val scaled = DoubleColumn(vs.clone()).values.isScaled // a span narrow enough for the table
         vs(2 + rng.nextInt(n)) = x
         val c = DoubleColumn(vs)
-        !c.values.isScaled && (c.values.raw eq vs) && holds(c, vs, rng)
+        scaled && !c.values.isScaled && (c.values.raw eq vs) && holds(c, vs, rng)
       }
     })
   }
@@ -314,7 +315,7 @@ class ColumnSpec extends AnyFunSuite {
   test("a block of one-decimal doubles is at most a third of the double array") {
     val n   = 10000
     val rng = new SplitMix(13)
-    val vs  = Array.fill(n)(if (rng.nextInt(50) == 0) Double.NaN else math.round(rng.nextGaussian() * 90) / 10.0)
+    val vs  = Array.fill(n)(if (rng.nextInt(50) == 0) Double.NaN else math.round(rng.nextGaussian() * 30) / 10.0)
     val block = ColumnarBlock.of(n, "DepDelay" -> DoubleColumn(vs))
     assert(block.column("DepDelay").asInstanceOf[DoubleColumn].values.scale == 1)
     val (packed, plain) = (SizeEstimator.estimate(block), SizeEstimator.estimate(vs))
@@ -323,7 +324,7 @@ class ColumnSpec extends AnyFunSuite {
 
   test("a block of a scaled and a raw double column survives a Java round trip") {
     val rng    = new SplitMix(17)
-    val scaled = decimals(1000, -2993L, 70000L, 2, withNaN = true, rng)
+    val scaled = decimals(1000, -2993L, 40L, 2, withNaN = true, rng)
     val raw    = Array.fill(1000)(if (rng.nextInt(9) == 0) Double.NaN else rng.nextDouble() * 100)
     val block  = ColumnarBlock.of(1000, "s" -> DoubleColumn(scaled), "r" -> DoubleColumn(raw))
     val bytes  = new java.io.ByteArrayOutputStream()
@@ -332,32 +333,36 @@ class ColumnSpec extends AnyFunSuite {
     val back = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
       .readObject().asInstanceOf[ColumnarBlock]
     val (s, r) = (back.column("s").asInstanceOf[DoubleColumn], back.column("r").asInstanceOf[DoubleColumn])
-    assert(s.values.isScaled && s.values.scale == 2 && s.values.codes.width == 4)
+    assert(s.values.isScaled && s.values.scale == 2 && s.values.codes.width == 1)
     assert(!r.values.isScaled)
     assert(holds(s, scaled, rng) && holds(r, raw, rng))
   }
 
-  test("buildBlock scales Double, Float and Decimal cells that are decimals and keeps the others raw") {
+  test("buildBlock scales Double, Float and Decimal cells that are decimals of a narrow span and keeps the others raw") {
     val schema = StructType(Seq(
       StructField("x", DoubleType), StructField("f", FloatType), StructField("m", DecimalType(12, 3)),
-      StructField("full", DoubleType), StructField("tenth", FloatType)))
+      StructField("full", DoubleType), StructField("tenth", FloatType), StructField("wide", DoubleType)))
     val rows = Seq(
-      Row(12.3, 1.5f, new java.math.BigDecimal("3.125"), math.Pi, 0.1f),
-      Row(null, null, null, null, null),
-      Row(-0.7, -2.25f, new java.math.BigDecimal("-100.5"), 1.0, 2.0f),
-      Row(4.0, 0.0f, new java.math.BigDecimal("0"), -2.0, 3.0f))
-    val b = ColumnStore.buildBlock(rows, schema)
+      Row(1.3, 0.25f, new java.math.BigDecimal("0.008"), math.Pi, 0.1f, 1000.5),
+      Row(null, null, null, null, null, null),
+      Row(-0.7, -0.5f, new java.math.BigDecimal("-0.005"), 1.0, 2.0f, -1000.5),
+      Row(4.0, 0.0f, new java.math.BigDecimal("0"), -2.0, 3.0f, 0.0))
+    val copies = 400 // enough rows for each scaled column's decode table
+    val b = ColumnStore.buildBlock(Seq.fill(copies)(rows).flatten, schema)
     def col(name: String) = b.column(name).asInstanceOf[DoubleColumn]
     val want = Map(
-      "x"     -> Seq(12.3, Double.NaN, -0.7, 4.0),
-      "f"     -> Seq(1.5, Double.NaN, -2.25, 0.0),
-      "m"     -> Seq(3.125, Double.NaN, -100.5, 0.0),
+      "x"     -> Seq(1.3, Double.NaN, -0.7, 4.0),
+      "f"     -> Seq(0.25, Double.NaN, -0.5, 0.0),
+      "m"     -> Seq(0.008, Double.NaN, -0.005, 0.0),
       "full"  -> Seq(math.Pi, Double.NaN, 1.0, -2.0),
-      "tenth" -> Seq(0.1f.toDouble, Double.NaN, 2.0, 3.0))
-    want.foreach { case (name, vs) => assert(holds(col(name), vs.toArray, new SplitMix(1)), name) }
+      "tenth" -> Seq(0.1f.toDouble, Double.NaN, 2.0, 3.0),
+      "wide"  -> Seq(1000.5, Double.NaN, -1000.5, 0.0))
+    want.foreach { case (name, vs) =>
+      assert(holds(col(name), Seq.fill(copies)(vs).flatten.toArray, new SplitMix(1)), name)
+    }
     assert(Seq("x", "f", "m").map(n => col(n).values.scale) == Seq(1, 2, 3))
     assert(Seq("x", "f", "m").forall(n => col(n).values.isScaled))
-    assert(!col("full").values.isScaled && !col("tenth").values.isScaled)
+    assert(Seq("full", "tenth", "wide").forall(n => !col(n).values.isScaled))
   }
 
   test("buildBlock reads every cached Catalyst type through its getter and packs integers") {
