@@ -15,11 +15,13 @@ final case class HeavyHittersSummary(
 }
 
 /** Misra–Gries streaming heavy hitters (App. B.2 "Heavy hitters
-  * (streaming)"): at most `maxCounters` counters; after processing n rows
-  * each kept count undercounts the true count by at most n/(maxCounters+1).
-  * `merge` follows Agarwal et al. [2]: add counters, then subtract the
-  * (k+1)-st largest and drop non-positive entries — the merged summary
-  * keeps the mergeable-summary error guarantee.
+  * (streaming)"): at most `maxCounters` counters; after n rows each kept
+  * count undercounts the true count by at most n/(maxCounters+1). A leaf
+  * counts its block exactly (`ValueCounts`) and `trim`s the counts; `merge`
+  * adds counters and trims again. `trim` is Agarwal et al.'s [2] rule:
+  * subtract the (k+1)-st largest count and drop non-positive entries, which
+  * keeps the mergeable-summary error guarantee. A block with at most k
+  * distinct values keeps its exact counts.
   */
 final case class MisraGriesSketch(col: String, maxCounters: Int)
     extends Sketch[HeavyHittersSummary] {
@@ -30,43 +32,19 @@ final case class MisraGriesSketch(col: String, maxCounters: Int)
   def zero = HeavyHittersSummary(Map.empty, 0L, 1.0)
 
   def summarize(block: ColumnarBlock, ctx: LeafCtx): HeavyHittersSummary = {
-    val counters = new java.util.HashMap[String, java.lang.Long]()
-    var n = 0L
-    val c = block.column(col)
-    block.foreachRow { i =>
-      n += 1
-      val v = c.asString(i)
-      if (v != null) {
-        val cur = counters.get(v)
-        if (cur != null) counters.put(v, cur + 1L)
-        else if (counters.size < maxCounters) counters.put(v, 1L)
-        else {
-          // Decrement all counters; remove those reaching zero.
-          val it = counters.entrySet.iterator
-          while (it.hasNext) {
-            val e = it.next()
-            if (e.getValue <= 1L) it.remove() else e.setValue(e.getValue - 1L)
-          }
-        }
-      }
-    }
-    val b = Map.newBuilder[String, Long]
-    counters.forEach((k, v) => b += ((k, v.longValue)))
-    HeavyHittersSummary(b.result(), n, 1.0)
+    val vc = ValueCounts(block.column(col), block.batches)
+    HeavyHittersSummary(trim(vc.iterator.toMap), vc.rows, 1.0)
   }
 
-  def merge(a: HeavyHittersSummary, b: HeavyHittersSummary): HeavyHittersSummary = {
-    val sum = (a.counts.keySet ++ b.counts.keySet).iterator
-      .map(k => k -> (a.counts.getOrElse(k, 0L) + b.counts.getOrElse(k, 0L)))
-      .toMap
-    val trimmed =
-      if (sum.size <= maxCounters) sum
-      else {
-        val kth = sum.values.toSeq.sorted(Ordering[Long].reverse)(maxCounters)
-        sum.view.mapValues(_ - kth).filter(_._2 > 0).toMap
-      }
-    HeavyHittersSummary(trimmed, a.sampled + b.sampled, 1.0)
-  }
+  def merge(a: HeavyHittersSummary, b: HeavyHittersSummary): HeavyHittersSummary =
+    HeavyHittersSummary(trim(HeavyHitters.add(a.counts, b.counts)), a.sampled + b.sampled, 1.0)
+
+  private def trim(counts: Map[String, Long]): Map[String, Long] =
+    if (counts.size <= maxCounters) counts
+    else {
+      val kth = counts.values.toSeq.sorted(Ordering[Long].reverse)(maxCounters)
+      counts.view.mapValues(_ - kth).filter(_._2 > 0).toMap
+    }
 }
 
 /** Sampling heavy hitters (§4.3 / Theorem 4): sample at `rate` targeting
@@ -83,28 +61,19 @@ final case class SamplingHeavyHittersSketch(col: String, rate: Double)
   def zero = HeavyHittersSummary(Map.empty, 0L, rate)
 
   def summarize(block: ColumnarBlock, ctx: LeafCtx): HeavyHittersSummary = {
-    val counters = new java.util.HashMap[String, java.lang.Long]()
-    var n = 0L
-    val c = block.column(col)
-    block.foreachSampledRow(rate, ctx.rng) { i =>
-      n += 1
-      val v = c.asString(i)
-      if (v != null) counters.merge(v, 1L, (x, y) => x + y)
-    }
-    val b = Map.newBuilder[String, Long]
-    counters.forEach((k, v) => b += ((k, v.longValue)))
-    HeavyHittersSummary(b.result(), n, rate)
+    val vc = ValueCounts(block.column(col), block.batches(rate, ctx.rng))
+    HeavyHittersSummary(vc.iterator.toMap, vc.rows, rate)
   }
 
   def merge(a: HeavyHittersSummary, b: HeavyHittersSummary): HeavyHittersSummary =
-    HeavyHittersSummary(
-      (a.counts.keySet ++ b.counts.keySet).iterator
-        .map(k => k -> (a.counts.getOrElse(k, 0L) + b.counts.getOrElse(k, 0L)))
-        .toMap,
-      a.sampled + b.sampled, rate)
+    HeavyHittersSummary(HeavyHitters.add(a.counts, b.counts), a.sampled + b.sampled, rate)
 }
 
 object HeavyHitters {
+  /** Per-value sum of two count maps. */
+  private[core] def add(a: Map[String, Long], b: Map[String, Long]): Map[String, Long] =
+    (a.keySet ++ b.keySet).iterator.map(k => k -> (a.getOrElse(k, 0L) + b.getOrElse(k, 0L))).toMap
+
   /** Root-side selection for the sampling variant: values with sampled
     * count ≥ 3n/(4K), with estimated true counts (paper §4.3).
     */

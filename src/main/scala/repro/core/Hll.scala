@@ -42,29 +42,18 @@ final case class HllSketch(col: String, p: Int = 12) extends Sketch[HllSummary] 
   def zero = HllSummary(new Array[Byte](1 << p), p)
 
   /** Numeric columns hash each batch's values from `Column.doubles`. A
-    * string column marks the dictionary codes its members use and hashes
-    * each of those entries once per block; registers keep a maximum, so
-    * adding a value once or once per occurrence gives the same summary.
+    * string column hashes each dictionary entry its members use once per
+    * block (`ValueCounts`); registers keep a maximum, so adding a value once
+    * or once per occurrence gives the same summary.
     */
   def summarize(block: ColumnarBlock, ctx: LeafCtx): HllSummary = {
     val regs = new Array[Byte](1 << p)
-    val rb   = block.batches
     block.column(col) match {
       case c: StringColumn =>
-        val used  = new Array[Boolean](c.dict.length)
-        val codes = new Array[Int](RowBatches.Capacity)
-        while (rb.next()) {
-          c.codes.ints(rb.rows, rb.size, codes)
-          var j = 0
-          while (j < rb.size) { val code = codes(j); if (code >= 0) used(code) = true; j += 1 }
-        }
-        var code = 0
-        while (code < used.length) {
-          if (used(code)) add(regs, SplitMix.hashString(c.dict(code)))
-          code += 1
-        }
+        ValueCounts(c, block.batches).iterator.foreach { case (v, _) => add(regs, SplitMix.hashString(v)) }
       case c =>
         val xs = new Array[Double](RowBatches.Capacity)
+        val rb = block.batches
         while (rb.next()) {
           c.doubles(rb.rows, rb.size, xs)
           var j = 0

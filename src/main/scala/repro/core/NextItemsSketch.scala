@@ -80,20 +80,14 @@ final case class NextItemsSketch(
   }
 
   /** Sort by one dictionary-encoded string column (§5.4): count rows per
-    * code, then build keys only for the ≤K smallest codes after `start`.
-    * The missing value is slot `dict.length` and, like `KeyCell.ordering`,
-    * sorts after every string before the column's sign is applied.
+    * code (`ValueCounts`), then build keys only for the ≤K smallest codes
+    * after `start`. The missing value is slot `dict.length` and, like
+    * `KeyCell.ordering`, sorts after every string before the column's sign
+    * is applied.
     */
   private def summarizeCodes(block: ColumnarBlock, c: StringColumn): NextItemsSummary = {
     val missing = c.dict.length
-    val counts  = new Array[Long](missing + 1)
-    val codes   = new Array[Int](RowBatches.Capacity)
-    val rb      = block.batches
-    while (rb.next()) {
-      c.codes.ints(rb.rows, rb.size, codes)
-      var j = 0
-      while (j < rb.size) { val code = codes(j); counts(if (code < 0) missing else code) += 1; j += 1 }
-    }
+    val counts  = ValueCounts(c, block.batches).perCode
     def value(slot: Int): String = if (slot == missing) null else c.dict(slot)
     val sign = if (sortCols.head.ascending) 1 else -1
     def cmp(x: String, y: String): Int = sign * KeyCell.compareStrings(x, y)

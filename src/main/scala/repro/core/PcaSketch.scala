@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.storage.ColumnarBlock
+import repro.storage.{ColumnarBlock, RowBatches}
 
 /** Co-moment summary over M numeric columns: count, per-column sums, and
   * the M×M matrix of cross-product sums — everything needed to form the
@@ -27,28 +27,37 @@ final case class PcaSketch(cols: Seq[String], rate: Double = 1.0)
 
   def zero = CoMomentsSummary(0L, new Array[Double](m), new Array[Double](m * m), m, rate)
 
+  /** Gathers each column of a row batch with `Column.doubles`, then
+    * accumulates the rows in order.
+    */
   def summarize(block: ColumnarBlock, ctx: LeafCtx): CoMomentsSummary = {
     val cs    = cols.map(block.column).toArray
+    val xs    = Array.fill(m)(new Array[Double](RowBatches.Capacity))
     val sums  = new Array[Double](m)
     val cross = new Array[Double](m * m)
-    val x     = new Array[Double](m)
     var n     = 0L
-    val body = (i: Int) => {
-      var ok = true
-      var j  = 0
-      while (ok && j < m) { x(j) = cs(j).asDouble(i); ok = !x(j).isNaN; j += 1 }
-      if (ok) {
-        n += 1
+    val rb    = block.batches(rate, ctx.rng)
+    while (rb.next()) {
+      var j = 0
+      while (j < m) { cs(j).doubles(rb.rows, rb.size, xs(j)); j += 1 }
+      var r = 0
+      while (r < rb.size) {
         j = 0
-        while (j < m) {
-          sums(j) += x(j)
-          var l = j
-          while (l < m) { cross(j * m + l) += x(j) * x(l); l += 1 }
-          j += 1
+        while (j < m && !xs(j)(r).isNaN) j += 1
+        if (j == m) {
+          n += 1
+          j = 0
+          while (j < m) {
+            val xj = xs(j)(r)
+            sums(j) += xj
+            var l = j
+            while (l < m) { cross(j * m + l) += xj * xs(l)(r); l += 1 }
+            j += 1
+          }
         }
+        r += 1
       }
     }
-    if (rate >= 1.0) block.foreachRow(body) else block.foreachSampledRow(rate, ctx.rng)(body)
     CoMomentsSummary(n, sums, cross, m, rate)
   }
 

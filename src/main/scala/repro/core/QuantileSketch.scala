@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.storage.{Column, ColumnarBlock, StringColumn}
+import repro.storage.{Column, ColumnarBlock, RowBatches, StringColumn}
 
 /** Summary: a uniform sample of at most `capacity` rows, held as the
   * bottom-n rows by a per-row random priority (bottom-k sampling,
@@ -104,9 +104,9 @@ final case class QuantileSketch(
   def zero = QuantileSummary.empty(sampleSize)
 
   def summarize(block: ColumnarBlock, ctx: LeafCtx): QuantileSummary = {
-    val base = SplitMix.mix(ctx.seed, ctx.blockId.toLong)
+    val base = SplitMix.mix(ctx.seed, ctx.blockId)
     val heap = new BottomN(math.min(sampleSize, block.rowCount))
-    block.foreachSampledRow(rate, ctx.rng)(i => heap.offer(SplitMix.mix(base, i.toLong), i))
+    heap.offerAll(block.batches(rate, ctx.rng), base)
     heap.sortInPlace()
     val rows = java.util.Arrays.copyOf(heap.rows, heap.size)
     new QuantileSummary(java.util.Arrays.copyOf(heap.pri, heap.size),
@@ -157,6 +157,13 @@ private final class BottomN(cap: Int) {
       }
       pri(k) = p; rows(k) = r
     } else if (cap > 0 && p < pri(0)) siftDown(p, r, size)
+
+  /** Offers each row r of the cursor with priority `SplitMix.mix(base, r)`. */
+  def offerAll(rb: RowBatches, base: Long): Unit =
+    while (rb.next()) {
+      var j = 0
+      while (j < rb.size) { val r = rb.rows(j); offer(SplitMix.mix(base, r.toLong), r); j += 1 }
+    }
 
   /** Place (p, r) at the root and sift it down within the first `n` slots. */
   private def siftDown(p: Long, r: Int, n: Int): Unit = {

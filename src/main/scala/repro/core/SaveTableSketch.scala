@@ -29,20 +29,13 @@ final case class SaveTableSketch(dir: String, cols: Seq[String]) extends Sketch[
       val w = java.nio.file.Files.newBufferedWriter(path)
       try {
         w.write(cols.mkString(",")); w.newLine()
-        var n = 0L
         val cs = cols.map(block.column).toArray
-        block.foreachRow { i =>
-          var j = 0
-          while (j < cs.length) {
-            if (j > 0) w.write(',')
-            val s = cs(j).asString(i)
-            if (s != null) w.write(s)
-            j += 1
-          }
+        val rb = block.batches
+        while (rb.next()) (0 until rb.size).foreach { r =>
+          w.write(cs.map(c => Option(c.asString(rb.rows(r))).getOrElse("")).mkString(","))
           w.newLine()
-          n += 1
         }
-        SaveSummary(1, n, Vector.empty)
+        SaveSummary(1, block.rowCount, Vector.empty)
       } finally w.close()
     } catch {
       case e: java.io.IOException => SaveSummary(0, 0L, Vector(s"block ${ctx.blockId}: ${e.getMessage}"))

@@ -8,8 +8,8 @@ import repro.storage.ColumnarBlock
   * the query seed makes randomized vizketches deterministic, which the
   * paper requires for redo-log replay after failures (§5.8).
   */
-final case class LeafCtx(blockId: Int, seed: Long) {
-  def rng: SplitMix = new SplitMix(SplitMix.mix(seed, blockId.toLong))
+final case class LeafCtx(blockId: Long, seed: Long) {
+  def rng: SplitMix = new SplitMix(SplitMix.mix(seed, blockId))
 }
 
 /** A vizketch: a mergeable summary tuned to a display resolution (§4.2).

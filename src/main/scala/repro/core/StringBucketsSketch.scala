@@ -30,25 +30,21 @@ final case class StringBucketsSketch(col: String, k: Int = 5000, maxExact: Int =
 
   def zero = StringBucketsSummary(Vector.empty, Set.empty, overflow = false, k, maxExact)
 
+  /** One pass over the distinct values of the block (`ValueCounts`), each
+    * hashed once.
+    */
   def summarize(block: ColumnarBlock, ctx: LeafCtx): StringBucketsSummary = {
     val heap  = new java.util.TreeMap[Long, String]() // hash -> value, keep k smallest
     val exact = new java.util.HashSet[String]()
-    var overflow = false
-    val c = block.column(col)
-    block.foreachRow { i =>
-      val v = c.asString(i)
-      if (v != null) {
-        if (!overflow) {
-          exact.add(v)
-          if (exact.size > maxExact) overflow = true
-        }
-        val h = SplitMix.hashString(v)
-        if (heap.size < k || h < heap.lastKey) {
-          heap.put(h, v)
-          if (heap.size > k) heap.pollLastEntry()
-        }
+    ValueCounts(block.column(col), block.batches).iterator.foreach { case (v, _) =>
+      if (exact.size <= maxExact) exact.add(v)
+      val h = SplitMix.hashString(v)
+      if (heap.size < k || h < heap.lastKey) {
+        heap.put(h, v)
+        if (heap.size > k) heap.pollLastEntry()
       }
     }
+    val overflow = exact.size > maxExact
     StringBucketsSummary(
       heap.entrySet.asScala.iterator.map(e => (e.getKey.longValue, e.getValue)).toVector,
       if (overflow) Set.empty else exact.asScala.toSet,

@@ -134,6 +134,8 @@ object ExecutionTree {
 
 /** A leaf: summarize each block of the partition and merge them locally;
   * the one place a block gets its `LeafCtx` (`LocalWorker` uses it too).
+  * The block id is a `Long`: as an `Int`, `pid * 100000` wraps negative
+  * from partition 21,475 on.
   */
 private final case class LeafFold[S](sk: Sketch[S], seed: Long) extends PartitionFn[ColumnarBlock, S] {
   def apply(pid: Int, it: Iterator[ColumnarBlock]): Iterator[S] = {
@@ -141,7 +143,7 @@ private final case class LeafFold[S](sk: Sketch[S], seed: Long) extends Partitio
     var blockNo = 0
     while (it.hasNext) {
       val b = it.next()
-      acc = sk.merge(acc, sk.summarize(b, LeafCtx(pid * 100000 + blockNo, seed)))
+      acc = sk.merge(acc, sk.summarize(b, LeafCtx(pid.toLong * 100000 + blockNo, seed)))
       blockNo += 1
     }
     Iterator.single(acc)

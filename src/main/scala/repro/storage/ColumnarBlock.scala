@@ -41,19 +41,6 @@ final case class ColumnarBlock(
     */
   def batches(rate: Double, rng: SplitMix): RowBatches = membership.batches(rate, rng)
 
-  /** Visit every member row. */
-  def foreachRow(f: Int => Unit): Unit = foreachSampledRow(1.0, null)(f)
-
-  /** Visit a Bernoulli(rate) sample of member rows; deterministic in rng. */
-  def foreachSampledRow(rate: Double, rng: SplitMix)(f: Int => Unit): Unit = {
-    val rb = batches(rate, rng)
-    while (rb.next()) {
-      val rows = rb.rows
-      var k    = 0
-      while (k < rb.size) { f(rows(k)); k += 1 }
-    }
-  }
-
   /** View of this block filtered by `pred` (evaluated on current members only). */
   def filtered(pred: Int => Boolean): ColumnarBlock =
     copy(membership = MembershipSet.from(membership, pred))
@@ -62,7 +49,8 @@ final case class ColumnarBlock(
   def withDerived(name: String, fn: (ColumnarBlock, Int) => Double): ColumnarBlock = {
     val values = new Array[Double](numRows)
     java.util.Arrays.fill(values, Double.NaN)
-    foreachRow(i => values(i) = fn(this, i))
+    val rb = batches
+    while (rb.next()) (0 until rb.size).foreach { k => val i = rb.rows(k); values(i) = fn(this, i) }
     copy(columns = columns + (name -> DoubleColumn(values)))
   }
 }

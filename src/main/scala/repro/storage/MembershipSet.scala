@@ -28,11 +28,6 @@ sealed trait MembershipSet extends Serializable {
 
   /** Cursor over every member in increasing row order. */
   final def batches: RowBatches = batches(1.0, null)
-
-  /** Members in increasing row order. */
-  final def iterator: Iterator[Int] = batches.iterator
-  /** Bernoulli(rate) sample of members, uniform, via geometric skips. */
-  final def sample(rate: Double, rng: SplitMix): Iterator[Int] = batches(rate, rng).iterator
 }
 
 object MembershipSet {
@@ -109,13 +104,6 @@ sealed abstract class RowBatches(rate: Double, rng: SplitMix) {
   protected final val sampled: Boolean = rate < 1.0
   private[this] val scale = if (sampled) -1.0 / math.log1p(-rate) else 0.0
   protected final def skip(): Int = MembershipSet.skipBy(scale, rng)
-
-  /** The row ids of this and the following batches, one at a time. */
-  final def iterator: Iterator[Int] = new Iterator[Int] {
-    private var k = 0
-    def hasNext: Boolean = k < n || { k = 0; RowBatches.this.next() }
-    def next(): Int = { val r = rows(k); k += 1; r }
-  }
 }
 
 object RowBatches {

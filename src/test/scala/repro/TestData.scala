@@ -67,6 +67,18 @@ object TestData {
     values.grouped(size).map(a => ColumnarBlock.ofDoubles("x", a)).toIndexedSeq
   }
 
+  /** Every row id a cursor yields, batch by batch: the one way tests read a
+    * block's or a membership set's rows.
+    */
+  def drain(rb: RowBatches): Vector[Int] = {
+    val out = Vector.newBuilder[Int]
+    while (rb.next()) {
+      assert(rb.size > 0 && rb.size <= RowBatches.Capacity, s"batch of ${rb.size} rows")
+      (0 until rb.size).foreach(k => out += rb.rows(k))
+    }
+    out.result()
+  }
+
   /** Run summarize over blocks and merge — a tiny local execution tree. */
   def sketchAll[S](sk: Sketch[S], blocks: Seq[ColumnarBlock], seed: Long = 0): S =
     blocks.zipWithIndex.foldLeft(sk.zero) { case (acc, (b, i)) =>

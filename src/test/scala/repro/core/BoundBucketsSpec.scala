@@ -184,7 +184,7 @@ class BoundBucketsSpec extends AnyFunSuite {
   private val sb      = ExactStringBuckets(Array("AA", "DL", "UA", "WN"))
   private val gb      = StringBoundaryBuckets(Array("B", "UA"))
 
-  private def members(b: ColumnarBlock): Vector[Int] = b.membership.iterator.toVector
+  private def members(b: ColumnarBlock): Vector[Int] = TestData.drain(b.batches)
   private def at(b: ColumnarBlock, spec: BucketSpec, col: String, i: Int): Int = spec.indexOf(b, col, i)
 
   private def filteredBlocks = {

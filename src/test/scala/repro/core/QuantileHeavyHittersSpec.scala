@@ -160,6 +160,19 @@ class MisraGriesSpec extends AnyFunSuite {
     }
   }
 
+  test("one block with more distinct values than k stays within n/(k+1) of its exact counts") {
+    val k     = 10
+    val exact = exactCounts
+    val got   = MisraGriesSketch("s", k).summarize(TestData.stringBlock("s", data), LeafCtx(0, 0))
+    assert(exact.size > k)
+    assert(got.counts.size <= k)
+    got.counts.foreach { case (v, c) =>
+      assert(c <= exact(v), s"$v overcounted")
+      assert(exact(v) - c <= n.toLong / (k + 1), s"$v undercounted by ${exact(v) - c}")
+    }
+    exact.foreach { case (v, c) => assert(c <= n.toLong / (k + 1) || got.counts.contains(v), s"$v dropped") }
+  }
+
   test("the true heaviest element survives with few counters") {
     val got   = sketchAll(MisraGriesSketch("s", 8), blocks(4))
     val top   = exactCounts.maxBy(_._2)._1

@@ -2,11 +2,14 @@ package repro.core
 
 import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestData.drain
 import repro.storage._
+import scala.jdk.CollectionConverters._
 
-/** The batch loops of the tabular sketches against references: next items
-  * and find text against a brute-force sort of every member row, HLL
-  * registers against the row-at-a-time loop it replaced. Blocks mix ties,
+/** The batch loops of the sketches against references: next items and find
+  * text against a brute-force sort of every member row; HLL, heavy hitters,
+  * string buckets, PCA, quantile, save-table output and derived columns
+  * against the row-at-a-time loops they replaced. Blocks mix ties,
   * missing values, ±∞ and −0.0 next to 0.0 in every numeric column, under
   * full, dense and sparse membership; sorts are led by each column kind in
   * both directions; starts lie before, on and after the data, and include
@@ -89,7 +92,7 @@ class TabularLoopSpec extends AnyFunSuite {
   }
 
   private def memberKeys(b: ColumnarBlock, sort: Seq[SortCol]): IndexedSeq[RowKey] =
-    b.membership.iterator.map(i => RowKey.of(b, sort.map(_.name), i)).toIndexedSeq
+    drain(b.batches).map(i => RowKey.of(b, sort.map(_.name), i))
 
   /** Distinct keys in sort order with their counts; keys equal under the
     * ordering (not under `==`, which merges −0.0 and 0.0) form one group.
@@ -141,10 +144,10 @@ class TabularLoopSpec extends AnyFunSuite {
         re                    = java.util.regex.Pattern.compile(
                                   if (mode == ExactMatch) s"^$pattern$$" else pattern,
                                   java.util.regex.Pattern.CASE_INSENSITIVE)
-        hitRows               = b.membership.iterator.filter { i =>
+        hitRows               = drain(b.batches).filter { i =>
                                   val v = b.column(col).asString(i)
                                   v != null && re.matcher(v).find()
-                                }.toIndexedSeq
+                                }
         sort                 <- sorts
         ord                   = RowKey.ordering(sort)
         hits                  = hitRows.map(i => RowKey.of(b, sort.map(_.name), i))
@@ -167,7 +170,7 @@ class TabularLoopSpec extends AnyFunSuite {
     val regs  = new Array[Byte](1 << p)
     val c     = block.column(col)
     val isStr = c.isInstanceOf[StringColumn]
-    block.foreachRow { i =>
+    drain(block.batches).foreach { i =>
       if (!c.isMissing(i)) {
         val h =
           if (isStr) SplitMix.hashString(c.asString(i))
@@ -192,5 +195,133 @@ class TabularLoopSpec extends AnyFunSuite {
       } yield s"n=$n members=${b.rowCount} col=$col p=$p"
       bad.headOption.forall(msg => { info(msg); false })
     })
+  }
+
+  private val Rates = Seq(1.0, 0.3)
+  private val Cols  = Seq("x", "l", "d", "s")
+
+  /** Whether `check` finds nothing wrong under every membership of the
+    * block; the first failure is logged.
+    */
+  private def firstFailure(n: Int, seed: Long)(check: ColumnarBlock => Seq[String]): Boolean =
+    blocks(n, seed).flatMap(check).headOption.forall(msg => { info(msg); false })
+
+  /** Present values of `col` over `rows`, counted a row at a time. */
+  private def referenceCounts(b: ColumnarBlock, col: String, rows: Seq[Int]): Map[String, Long] = {
+    val counts = collection.mutable.LinkedHashMap.empty[String, Long]
+    rows.foreach { i =>
+      val v = b.column(col).asString(i)
+      if (v != null) counts(v) = counts.getOrElse(v, 0L) + 1
+    }
+    counts.toMap
+  }
+
+  /** The row-at-a-time string-buckets loop the per-value pass replaced. */
+  private def referenceBuckets(b: ColumnarBlock, col: String, k: Int, maxExact: Int): StringBucketsSummary = {
+    val heap     = new java.util.TreeMap[Long, String]()
+    val exact    = new java.util.HashSet[String]()
+    var overflow = false
+    drain(b.batches).foreach { i =>
+      val v = b.column(col).asString(i)
+      if (v != null) {
+        if (!overflow) { exact.add(v); if (exact.size > maxExact) overflow = true }
+        val h = SplitMix.hashString(v)
+        if (heap.size < k || h < heap.lastKey) { heap.put(h, v); if (heap.size > k) heap.pollLastEntry() }
+      }
+    }
+    val bottomK = Vector.newBuilder[(Long, String)]
+    heap.forEach((h, v) => bottomK += ((h, v)))
+    val set = Set.newBuilder[String]
+    if (!overflow) exact.forEach(v => set += v)
+    StringBucketsSummary(bottomK.result(), set.result(), overflow, k, maxExact)
+  }
+
+  test("heavy hitters and string buckets equal row-at-a-time counts for every column kind, membership and rate") {
+    check(Prop.forAll(caseGen) { case (n, seed) =>
+      firstFailure(n, seed) { b =>
+        val members = drain(b.batches)
+        val ctx     = LeafCtx(7, seed)
+        Cols.flatMap { col =>
+          val exact    = referenceCounts(b, col, members)
+          val sampled  = Rates.flatMap { rate =>
+            val rows = drain(b.batches(rate, ctx.rng))
+            val want = HeavyHittersSummary(referenceCounts(b, col, rows), rows.size.toLong, rate)
+            val got  = SamplingHeavyHittersSketch(col, rate).summarize(b, ctx)
+            if (got == want) None else Some(s"sampled heavy hitters rate=$rate: got $got, want $want")
+          }
+          val complete = MisraGriesSketch(col, 100).summarize(b, ctx)
+          val mg       = if (complete == HeavyHittersSummary(exact, members.size.toLong, 1.0)) None
+                         else Some(s"Misra-Gries with k=100: got $complete, want $exact")
+          val trimmed  = MisraGriesSketch(col, 2).summarize(b, ctx)
+          val bound    = if (trimmed.counts.size <= 2 && trimmed.counts.forall { case (v, c) =>
+                           c <= exact.getOrElse(v, 0L) && exact(v) - c <= members.size / 3 }) None
+                         else Some(s"Misra-Gries with k=2: $trimmed outside the bound of $exact")
+          val buckets  = Seq((5000, 50), (3, 2)).flatMap { case (k, maxExact) =>
+            val got  = StringBucketsSketch(col, k, maxExact).summarize(b, ctx)
+            val want = referenceBuckets(b, col, k, maxExact)
+            if (got == want) None else Some(s"string buckets k=$k maxExact=$maxExact: got $got, want $want")
+          }
+          (sampled ++ mg ++ bound ++ buckets).map(m => s"n=$n members=${b.rowCount} col=$col: $m")
+        }
+      }
+    })
+  }
+
+  test("PCA, quantile, save-table output and derived columns equal row-at-a-time loops for every membership and rate") {
+    val dir = java.nio.file.Files.createTempDirectory("repro-loop")
+    try check(Prop.forAll(caseGen) { case (n, seed) =>
+      firstFailure(n, seed) { b =>
+        val ctx  = LeafCtx(5, seed)
+        val rows = Rates.map(rate => rate -> drain(b.batches(rate, ctx.rng))).toMap
+
+        val pca = Rates.flatMap { rate =>
+          val cols  = Seq("x", "l", "d")
+          val sums  = new Array[Double](3)
+          val cross = new Array[Double](9)
+          var m     = 0L
+          rows(rate).foreach { i =>
+            val x = cols.map(b.column(_).asDouble(i))
+            if (!x.exists(_.isNaN)) {
+              m += 1
+              for (j <- 0 until 3) { sums(j) += x(j); for (l <- j until 3) cross(j * 3 + l) += x(j) * x(l) }
+            }
+          }
+          val got = PcaSketch(cols, rate).summarize(b, ctx)
+          if (got.n == m && java.util.Arrays.equals(got.sums, sums) && java.util.Arrays.equals(got.cross, cross)) None
+          else Some(s"PCA rate=$rate: got n=${got.n} ${got.sums.toSeq}, want n=$m ${sums.toSeq}")
+        }
+
+        val sort = Seq(SortCol("x"), SortCol("s", ascending = false), SortCol("d"))
+        val quantile = for {
+          rate <- Rates
+          size <- Seq(5, 1000)
+          base  = SplitMix.mix(ctx.seed, ctx.blockId)
+          kept  = rows(rate).map(i => (SplitMix.mix(base, i.toLong), i)).sortBy(_._1).take(size)
+          want  = new QuantileSummary(kept.map(_._1).toArray,
+                    sort.map(sc => QuantileSummary.gather(b.column(sc.name), kept.map(_._2).toArray)).toArray, size)
+          got   = QuantileSketch(sort, size, rate).summarize(b, ctx)
+          if got != want
+        } yield s"quantile rate=$rate n=$size: got ${got.sample}, want ${want.sample}"
+
+        val saved = SaveTableSketch(dir.toString, Cols).summarize(b, ctx)
+        val lines = java.nio.file.Files.readAllLines(dir.resolve(f"part-${ctx.blockId}%06d.csv"))
+        val text  = Cols.mkString(",") +: rows(1.0).map(i => Cols.map(c => Option(b.column(c).asString(i)).getOrElse("")).mkString(","))
+        val save  = if (saved == SaveSummary(1, rows(1.0).size.toLong, Vector.empty) && lines.asScala == text) None
+                    else Some(s"save-table: got $saved, ${lines.size} lines, want ${text.size}")
+
+        val fn      = (blk: ColumnarBlock, i: Int) => blk.column("x").asDouble(i) * 2 + blk.column("l").asDouble(i)
+        val derived = b.withDerived("y", fn).column("y")
+        val ref     = Array.fill(n)(Double.NaN)
+        rows(1.0).foreach(i => ref(i) = fn(b, i))
+        val derive  = (0 until n).find(i => java.lang.Double.compare(derived.asDouble(i), ref(i)) != 0)
+                        .map(i => s"withDerived row $i: got ${derived.asDouble(i)}, want ${ref(i)}")
+
+        (pca ++ quantile ++ save ++ derive).map(m => s"n=$n members=${b.rowCount}: $m")
+      }
+    })
+    finally {
+      java.nio.file.Files.list(dir).forEach(f => java.nio.file.Files.delete(f))
+      java.nio.file.Files.delete(dir)
+    }
   }
 }

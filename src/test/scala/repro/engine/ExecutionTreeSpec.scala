@@ -304,6 +304,14 @@ final case class FailingMoments(col: String) extends Sketch[MomentsSummary] {
   def merge(a: MomentsSummary, b: MomentsSummary): MomentsSummary = inner.merge(a, b)
 }
 
+/** The block ids the leaves were given, in leaf order. */
+final case class BlockIds() extends Sketch[Vector[Long]] {
+  def name = "block.ids"
+  def zero = Vector.empty
+  def summarize(b: repro.storage.ColumnarBlock, ctx: LeafCtx): Vector[Long] = Vector(ctx.blockId)
+  def merge(a: Vector[Long], b: Vector[Long]): Vector[Long] = a ++ b
+}
+
 class LocalWorkerSpec extends org.scalatest.funsuite.AnyFunSuite {
   import repro.TestData._
 
@@ -328,6 +336,15 @@ class LocalWorkerSpec extends org.scalatest.funsuite.AnyFunSuite {
   test("timeMs returns a positive median") {
     val blocks = splitBlocks(values, 4)
     assert(LocalWorker.timeMs(blocks, StreamingHistogramSketch("x", bk), 2, reps = 3, warmups = 1) > 0)
+  }
+
+  test("LeafFold gives partition 21,475 a positive block id distinct from partition 0's") {
+    val blocks = splitBlocks(values.take(30), 3)
+    def ids(pid: Int) = LeafFold(BlockIds(), 0L)(pid, blocks.iterator).next()
+    assert(ids(0) == Vector(0L, 1L, 2L))
+    assert(ids(21474) == Vector(2147400000L, 2147400001L, 2147400002L)) // below the old overflow: unchanged
+    assert(ids(21475).forall(_ > 0) && ids(21475) != ids(0))
+    assert(ids(21475) == Vector(2147500000L, 2147500001L, 2147500002L))
   }
 
   test("rejects zero threads") {

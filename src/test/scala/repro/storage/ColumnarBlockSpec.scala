@@ -2,6 +2,7 @@ package repro.storage
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
+import repro.TestData.drain
 import repro.core.SplitMix
 
 class ColumnarBlockSpec extends AnyFunSuite {
@@ -85,11 +86,9 @@ class ColumnarBlockSpec extends AnyFunSuite {
     assert(back.column("y").asDouble(1) == 8.0)
   }
 
-  test("foreachRow visits every row once in order") {
-    val b   = TestData.doubleBlock(5, 6, 7, 8)
-    val got = Vector.newBuilder[Int]
-    b.foreachRow(got += _)
-    assert(got.result() == Vector(0, 1, 2, 3))
+  test("the block cursor visits every row once in order") {
+    val b = TestData.doubleBlock(5, 6, 7, 8)
+    assert(drain(b.batches) == Vector(0, 1, 2, 3))
   }
 
   test("filtered() restricts membership and preserves shared columns") {
@@ -97,9 +96,7 @@ class ColumnarBlockSpec extends AnyFunSuite {
     val f = b.filtered(i => b.column("x").asDouble(i) > 3.0)
     assert(f.rowCount == 3)
     assert(f.columns eq b.columns) // data is shared, not copied
-    val seen = Vector.newBuilder[Double]
-    f.foreachRow(i => seen += f.column("x").asDouble(i))
-    assert(seen.result() == Vector(4.0, 5.0, 6.0))
+    assert(drain(f.batches).map(f.column("x").asDouble) == Vector(4.0, 5.0, 6.0))
   }
 
   test("filtered() composes: second filter applies within the first") {
@@ -107,7 +104,7 @@ class ColumnarBlockSpec extends AnyFunSuite {
     val f1 = b.filtered(i => i % 2 == 0)
     val f2 = f1.filtered(i => i < 50)
     assert(f2.rowCount == 25)
-    f2.foreachRow(i => assert(i % 2 == 0 && i < 50))
+    drain(f2.batches).foreach(i => assert(i % 2 == 0 && i < 50))
   }
 
   test("withDerived adds a computed column over members") {
@@ -124,18 +121,14 @@ class ColumnarBlockSpec extends AnyFunSuite {
     assert(d.column("y").asDouble(2) == 4.0)
   }
 
-  test("foreachSampledRow at rate 1 equals foreachRow") {
-    val b   = TestData.doubleBlock((1 to 50).map(_.toDouble): _*)
-    val all = Vector.newBuilder[Int]
-    val smp = Vector.newBuilder[Int]
-    b.foreachRow(all += _)
-    b.foreachSampledRow(1.0, new SplitMix(1))(smp += _)
-    assert(all.result() == smp.result())
+  test("a sampled block cursor at rate 1 equals the full cursor") {
+    val b = TestData.doubleBlock((1 to 50).map(_.toDouble): _*)
+    assert(drain(b.batches) == drain(b.batches(1.0, new SplitMix(1))))
   }
 
-  test("foreachSampledRow respects membership") {
+  test("a sampled block cursor respects membership") {
     val b = TestData.doubleBlock((1 to 1000).map(_.toDouble): _*).filtered(_ % 10 == 0)
-    b.foreachSampledRow(0.5, new SplitMix(2))(i => assert(i % 10 == 0))
+    drain(b.batches(0.5, new SplitMix(2))).foreach(i => assert(i % 10 == 0))
   }
 
   test("ofDoubles builds a fully-member single-column block") {

@@ -1,6 +1,7 @@
 package repro.storage
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestData.drain
 import repro.core.SplitMix
 
 class MembershipSetSpec extends AnyFunSuite {
@@ -31,7 +32,7 @@ class MembershipSetSpec extends AnyFunSuite {
   test("iterator yields members in increasing order") {
     for (mod <- Seq(1, 3, 97)) {
       val m   = MembershipSet.from(1000, i => i % mod == 0)
-      val got = m.iterator.toVector
+      val got = drain(m.batches)
       assert(got == got.sorted)
       assert(got == (0 until 1000).filter(_ % mod == 0).toVector)
     }
@@ -40,26 +41,26 @@ class MembershipSetSpec extends AnyFunSuite {
   test("full membership size equals universe") {
     val m = MembershipSet.full(42)
     assert(m.size == 42 && m.universe == 42)
-    assert(m.iterator.toVector == (0 until 42).toVector)
+    assert(drain(m.batches) == (0 until 42).toVector)
   }
 
   test("sampling at rate 1 from full membership returns everything") {
     val m = MembershipSet.full(100)
-    assert(m.sample(1.0, new SplitMix(1)).toVector == (0 until 100).toVector)
+    assert(drain(m.batches(1.0, new SplitMix(1))) == (0 until 100).toVector)
   }
 
   test("sampling is deterministic in the rng seed") {
     val m  = MembershipSet.from(10000, i => i % 3 == 0)
-    val s1 = m.sample(0.1, new SplitMix(5)).toVector
-    val s2 = m.sample(0.1, new SplitMix(5)).toVector
+    val s1 = drain(m.batches(0.1, new SplitMix(5)))
+    val s2 = drain(m.batches(0.1, new SplitMix(5)))
     assert(s1 == s2)
-    assert(s1 != m.sample(0.1, new SplitMix(6)).toVector)
+    assert(s1 != drain(m.batches(0.1, new SplitMix(6))))
   }
 
   test("sample returns only members, in increasing order") {
     for (mod <- Seq(2, 25)) {
       val m = MembershipSet.from(5000, i => i % mod == 0)
-      val s = m.sample(0.3, new SplitMix(8)).toVector
+      val s = drain(m.batches(0.3, new SplitMix(8)))
       assert(s == s.sorted)
       s.foreach(i => assert(i % mod == 0))
     }
@@ -71,7 +72,7 @@ class MembershipSetSpec extends AnyFunSuite {
       (MembershipSet.from(200000, (i: Int) => i % 2 == 0), "dense"),
       (MembershipSet.from(2000000, (i: Int) => i % 20 == 0), "sparse"))) {
       val rate = 0.1
-      val n    = mk.sample(rate, new SplitMix(13)).size
+      val n    = drain(mk.batches(rate, new SplitMix(13))).size
       val exp  = mk.size * rate
       assert(math.abs(n - exp) < 4 * math.sqrt(exp), s"$name: got $n expected ~$exp")
     }
@@ -79,7 +80,7 @@ class MembershipSetSpec extends AnyFunSuite {
 
   test("sampling uniformity: first and second half get similar counts") {
     val m     = MembershipSet.from(100000, i => i % 2 == 0)
-    val picks = m.sample(0.2, new SplitMix(21)).toVector
+    val picks = drain(m.batches(0.2, new SplitMix(21)))
     val (lo, hi) = picks.partition(_ < 50000)
     assert(math.abs(lo.size - hi.size) < 5 * math.sqrt(picks.size.toDouble))
   }
@@ -92,23 +93,13 @@ class MembershipSetSpec extends AnyFunSuite {
   test("empty membership behaves") {
     val m = MembershipSet.from(10, _ => false)
     assert(m.size == 0)
-    assert(m.iterator.isEmpty)
-    assert(m.sample(0.5, new SplitMix(1)).isEmpty)
+    assert(drain(m.batches).isEmpty)
+    assert(drain(m.batches(0.5, new SplitMix(1))).isEmpty)
   }
 
   // ---------- batch cursor ----------
 
   private val B = RowBatches.Capacity
-
-  /** Every row id the cursor yields, batch by batch. */
-  private def drain(rb: RowBatches): Vector[Int] = {
-    val out = Vector.newBuilder[Int]
-    while (rb.next()) {
-      assert(rb.size > 0 && rb.size <= B)
-      (0 until rb.size).foreach(k => out += rb.rows(k))
-    }
-    out.result()
-  }
 
   /** A bitmap membership whose members are exactly `members`. */
   private def dense(universe: Int, members: Seq[Int]): MembershipSet = {
@@ -131,7 +122,6 @@ class MembershipSetSpec extends AnyFunSuite {
     for (count <- Seq(0, 1, B - 1, B, B + 1, 3 * B + 17); (name, m, members) <- representations(count)) {
       assert(drain(m.batches) == members, s"$name count=$count")
       assert(drain(m.batches(1.0, new SplitMix(4))) == members, s"$name count=$count (rate 1)")
-      assert(m.iterator.toVector == members, s"$name count=$count iterator")
       assert(m.size == count)
     }
     val empty = MembershipSet.from(100, _ => false)
@@ -153,7 +143,6 @@ class MembershipSetSpec extends AnyFunSuite {
       assert(s.zip(s.drop(1)).forall { case (a, b) => a < b }, s"$name rate=$rate: not increasing")
       assert(s == drain(m.batches(rate, new SplitMix(31))), s"$name rate=$rate: not deterministic")
       assert(s != drain(m.batches(rate, new SplitMix(32))), s"$name rate=$rate: ignores the seed")
-      assert(s == m.sample(rate, new SplitMix(31)).toVector, s"$name rate=$rate: sample differs")
     }
   }
 
@@ -163,7 +152,7 @@ class MembershipSetSpec extends AnyFunSuite {
       val sigma = math.sqrt(m.size * rate * (1 - rate))
       assert(math.abs(s.size - m.size * rate) < 4 * sigma,
         s"$name rate=$rate: ${s.size} hits, expected ${m.size * rate} ± ${4 * sigma}")
-      val members = m.iterator.toVector
+      val members = drain(m.batches)
       val mid     = members(members.size / 2)
       val (lo, hi) = s.partition(_ < mid)
       assert(math.abs(lo.size - hi.size) < 5 * sigma,
@@ -189,7 +178,7 @@ class MembershipSetSpec extends AnyFunSuite {
       val ref   = MembershipSet.from(m.universe, i => m.contains(i) && pred(i))
       assert(calls == m.size, s"$name: predicate tested on non-members")
       assert(got.getClass == ref.getClass && got.size == ref.size, name)
-      assert(got.iterator.sameElements(ref.iterator), name)
+      assert(drain(got.batches) == drain(ref.batches), name)
     }
   }
 }
