@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.storage.{Column, ColumnarBlock, DoubleColumn, PackedColumn, PackedInts, StringColumn}
+import repro.storage.{Column, DoubleColumn, PackedColumn, PackedInts, StringColumn}
 
 /** Maps a cell to a bucket index in [0, count), or -1 when out of range /
   * missing. Charts are parameterized by one of these per axis; the number
@@ -11,8 +11,6 @@ sealed trait BucketSpec extends Serializable {
   def count: Int
   /** Bucket of cell `i` of `c`; -1 if not bucketable. */
   def indexOf(c: Column, i: Int): Int
-  /** Bucket of row `i` of column `col` in `block`; -1 if not bucketable. */
-  final def indexOf(block: ColumnarBlock, col: String, i: Int): Int = indexOf(block.column(col), i)
   /** These buckets bound to one block's column, resolved once per block. */
   def bind(column: Column): BoundBuckets = new BoundBuckets.Cells(this, column)
   /** Human-readable label of bucket `b` (for rendered tables). */

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.storage.{ColumnarBlock, RowBatches}
+import repro.storage.ColumnarBlock
 
 /** Heat-map summary: a Bx×By matrix of bin counts (paper §4.3). */
 final case class HeatmapSummary(
@@ -11,9 +11,8 @@ final case class HeatmapSummary(
     sampled: Long,
     rate: Double
 ) extends Serializable {
-  def cell(x: Int, y: Int): Long           = cells(x * by + y)
-  def estimate(x: Int, y: Int): Double     = cell(x, y) / rate
-  def estimates: Array[Double]             = cells.map(_ / rate)
+  def cell(x: Int, y: Int): Long = cells(x * by + y)
+  def estimates: Array[Double]   = cells.map(_ / rate)
 }
 
 /** Heat-map vizketch: bins in two dimensions, density rendered on a
@@ -34,39 +33,25 @@ final case class HeatmapSketch(
     new Array[Long](bucketsX.count * bucketsY.count),
     bucketsX.count, bucketsY.count, 0L, 0L, rate)
 
-  def summarize(block: ColumnarBlock, ctx: LeafCtx): HeatmapSummary = {
-    val by     = bucketsY.count
-    val cells  = new Array[Long](bucketsX.count * by)
-    val boundX = bucketsX.bind(block.column(colX))
-    val boundY = bucketsY.bind(block.column(colY))
-    val xs     = new Array[Int](RowBatches.Capacity)
-    val ys     = new Array[Int](RowBatches.Capacity)
-    var miss   = 0L
-    var total  = 0L
-    val rb     = block.batches(rate, ctx.rng)
-    while (rb.next()) {
-      val n = rb.size
-      boundX.fill(rb.rows, n, xs)
-      boundY.fill(rb.rows, n, ys)
-      var k = 0
-      while (k < n) {
-        val x = xs(k)
-        val y = ys(k)
-        if (x < 0 || y < 0) miss += 1 else cells(x * by + y) += 1
-        k += 1
-      }
-      total += n
-    }
-    HeatmapSummary(cells, bucketsX.count, by, miss, total, rate)
+  def summarize(block: ColumnarBlock, ctx: LeafCtx): HeatmapSummary =
+    plot(BucketTally(block, Seq(colX -> bucketsX, colY -> bucketsY), rate, ctx.rng), 0)
+
+  /** Slots of one (x, y) plane of a tally. */
+  private[core] val plane = BucketTally.slots(bucketsX) * BucketTally.slots(bucketsY)
+
+  /** The heat map of the plane of `tally` whose slots start at `from`: a
+    * row is missing unless both its x and y are in a bucket.
+    */
+  private[core] def plot(tally: Array[Long], from: Int): HeatmapSummary = {
+    val cells   = BucketTally.cells(tally, from, bucketsX.count, bucketsY.count)
+    val visited = BucketTally.sum(tally, from, from + plane)
+    HeatmapSummary(cells, bucketsX.count, bucketsY.count, visited - BucketTally.sum(cells), visited, rate)
   }
 
   def merge(a: HeatmapSummary, b: HeatmapSummary): HeatmapSummary = {
     require(a.bx == b.bx && a.by == b.by, "heatmap dims mismatch in merge")
     require(a.rate == b.rate, "rate mismatch in merge")
-    val cells = new Array[Long](a.cells.length)
-    var i = 0
-    while (i < cells.length) { cells(i) = a.cells(i) + b.cells(i); i += 1 }
-    HeatmapSummary(cells, a.bx, a.by, a.missing + b.missing, a.sampled + b.sampled, a.rate)
+    HeatmapSummary(BucketTally.add(a.cells, b.cells), a.bx, a.by, a.missing + b.missing, a.sampled + b.sampled, a.rate)
   }
 }
 
@@ -90,39 +75,10 @@ final case class TrellisHeatmapSketch(
 
   def zero = TrellisSummary(Array.fill(groups.count)(inner.zero))
 
+  /** Rows whose group is missing or outside the groups are in no plot. */
   def summarize(block: ColumnarBlock, ctx: LeafCtx): TrellisSummary = {
-    // One pass: route each row to its group's heatmap accumulator.
-    val by     = bucketsY.count
-    val plot   = bucketsX.count * by
-    val cells  = new Array[Long](groups.count * plot)
-    val miss   = new Array[Long](groups.count)
-    val total  = new Array[Long](groups.count)
-    val boundW = groups.bind(block.column(colW))
-    val boundX = bucketsX.bind(block.column(colX))
-    val boundY = bucketsY.bind(block.column(colY))
-    val ws     = new Array[Int](RowBatches.Capacity)
-    val xs     = new Array[Int](RowBatches.Capacity)
-    val ys     = new Array[Int](RowBatches.Capacity)
-    val rb     = block.batches(rate, ctx.rng)
-    while (rb.next()) {
-      val n = rb.size
-      boundW.fill(rb.rows, n, ws)
-      boundX.fill(rb.rows, n, xs)
-      boundY.fill(rb.rows, n, ys)
-      var k = 0
-      while (k < n) {
-        val g = ws(k)
-        if (g >= 0) {
-          total(g) += 1
-          val x = xs(k)
-          val y = ys(k)
-          if (x < 0 || y < 0) miss(g) += 1 else cells(g * plot + x * by + y) += 1
-        }
-        k += 1
-      }
-    }
-    TrellisSummary(Array.tabulate(groups.count)(g => HeatmapSummary(
-      java.util.Arrays.copyOfRange(cells, g * plot, (g + 1) * plot), bucketsX.count, by, miss(g), total(g), rate)))
+    val tally = BucketTally(block, Seq(colW -> groups, colX -> bucketsX, colY -> bucketsY), rate, ctx.rng)
+    TrellisSummary(Array.tabulate(groups.count)(g => inner.plot(tally, (g + 2) * inner.plane)))
   }
 
   def merge(a: TrellisSummary, b: TrellisSummary): TrellisSummary = {

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.storage.{ColumnarBlock, RowBatches}
+import repro.storage.ColumnarBlock
 
 /** Summary shared by histogram-family vizketches: per-bucket counts plus
   * sampling metadata. `merge` adds counts — vectors are tiny (O(screen))
@@ -30,12 +30,8 @@ object HistogramSummary {
     HistogramSummary(new Array[Long](buckets), 0L, 0L, 0L, rate)
 
   def add(a: HistogramSummary, b: HistogramSummary): HistogramSummary = {
-    require(a.counts.length == b.counts.length, "bucket count mismatch in merge")
     require(a.rate == b.rate, s"sampling rate mismatch in merge: ${a.rate} vs ${b.rate}")
-    val c = new Array[Long](a.counts.length)
-    var i = 0
-    while (i < c.length) { c(i) = a.counts(i) + b.counts(i); i += 1 }
-    HistogramSummary(c, a.outOfRange + b.outOfRange, a.missing + b.missing,
+    HistogramSummary(BucketTally.add(a.counts, b.counts), a.outOfRange + b.outOfRange, a.missing + b.missing,
       a.sampled + b.sampled, a.rate)
   }
 }
@@ -55,21 +51,8 @@ final case class HistogramSketch(col: String, buckets: BucketSpec, rate: Double 
   def zero            = HistogramSummary.zero(buckets.count, rate)
 
   def summarize(block: ColumnarBlock, ctx: LeafCtx): HistogramSummary = {
-    // tally(b + 2) counts bucket id b, so missing (-2) and outside (-1)
-    // rows are tallied without a branch.
-    val tally   = new Array[Long](buckets.count + 2)
-    val bound   = buckets.bind(block.column(col))
-    val ids     = new Array[Int](RowBatches.Capacity)
-    var sampled = 0L
-    val rb      = block.batches(rate, ctx.rng)
-    while (rb.next()) {
-      val n = rb.size
-      bound.fill(rb.rows, n, ids)
-      var k = 0
-      while (k < n) { tally(ids(k) + 2) += 1; k += 1 }
-      sampled += n
-    }
-    HistogramSummary(java.util.Arrays.copyOfRange(tally, 2, tally.length), tally(1), tally(0), sampled, rate)
+    val tally = BucketTally(block, Seq(col -> buckets), rate, ctx.rng)
+    HistogramSummary(java.util.Arrays.copyOfRange(tally, 2, tally.length), tally(1), tally(0), BucketTally.sum(tally), rate)
   }
 
   def merge(a: HistogramSummary, b: HistogramSummary) = HistogramSummary.add(a, b)

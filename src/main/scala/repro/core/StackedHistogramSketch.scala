@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.storage.{ColumnarBlock, RowBatches}
+import repro.storage.ColumnarBlock
 
 /** Stacked-histogram summary (paper App. B.1): Bx bar counts followed by
   * Bx×By subdivision counts, flattened. The normalized variant renders
@@ -18,7 +18,6 @@ final case class StackedHistogramSummary(
   def by: Int = if (bx == 0) 0 else cellCounts.length / bx
   def cell(x: Int, y: Int): Long        = cellCounts(x * by + y)
   def estimateBar(x: Int): Double       = barCounts(x) / rate
-  def estimateCell(x: Int, y: Int): Double = cell(x, y) / rate
 }
 
 /** Vizketch for stacked histograms over columns X (bars) and Y (colored
@@ -39,46 +38,19 @@ final case class StackedHistogramSketch(
     new Array[Long](bucketsX.count),
     new Array[Long](bucketsX.count * bucketsY.count), 0L, 0L, rate)
 
+  /** A bar counts every row of its x bucket, y missing or outside too. */
   def summarize(block: ColumnarBlock, ctx: LeafCtx): StackedHistogramSummary = {
-    val by     = bucketsY.count
-    val bars   = new Array[Long](bucketsX.count)
-    val cells  = new Array[Long](bucketsX.count * by)
-    val boundX = bucketsX.bind(block.column(colX))
-    val boundY = bucketsY.bind(block.column(colY))
-    val xs     = new Array[Int](RowBatches.Capacity)
-    val ys     = new Array[Int](RowBatches.Capacity)
-    var miss   = 0L
-    var total  = 0L
-    val rb     = block.batches(rate, ctx.rng)
-    while (rb.next()) {
-      val n = rb.size
-      boundX.fill(rb.rows, n, xs)
-      boundY.fill(rb.rows, n, ys)
-      var k = 0
-      while (k < n) {
-        val x = xs(k)
-        if (x < 0) miss += 1
-        else {
-          bars(x) += 1
-          val y = ys(k)
-          if (y >= 0) cells(x * by + y) += 1
-        }
-        k += 1
-      }
-      total += n
-    }
-    StackedHistogramSummary(bars, cells, miss, total, rate)
+    val tally   = BucketTally(block, Seq(colX -> bucketsX, colY -> bucketsY), rate, ctx.rng)
+    val sy      = BucketTally.slots(bucketsY)
+    val bars    = Array.tabulate(bucketsX.count)(x => BucketTally.sum(tally, (x + 2) * sy, (x + 3) * sy))
+    val cells   = BucketTally.cells(tally, 0, bucketsX.count, bucketsY.count)
+    val visited = BucketTally.sum(tally)
+    StackedHistogramSummary(bars, cells, visited - BucketTally.sum(bars), visited, rate)
   }
 
   def merge(a: StackedHistogramSummary, b: StackedHistogramSummary): StackedHistogramSummary = {
-    require(a.barCounts.length == b.barCounts.length, "Bx mismatch in merge")
     require(a.rate == b.rate, "rate mismatch in merge")
-    val bars  = new Array[Long](a.barCounts.length)
-    val cells = new Array[Long](a.cellCounts.length)
-    var i = 0
-    while (i < bars.length)  { bars(i)  = a.barCounts(i)  + b.barCounts(i);  i += 1 }
-    i = 0
-    while (i < cells.length) { cells(i) = a.cellCounts(i) + b.cellCounts(i); i += 1 }
-    StackedHistogramSummary(bars, cells, a.missing + b.missing, a.sampled + b.sampled, a.rate)
+    StackedHistogramSummary(BucketTally.add(a.barCounts, b.barCounts), BucketTally.add(a.cellCounts, b.cellCounts),
+      a.missing + b.missing, a.sampled + b.sampled, a.rate)
   }
 }

@@ -5,26 +5,32 @@ import scala.jdk.CollectionConverters._
 
 /** T6 — Fig. 9: coding effort per vizketch, measured as non-blank,
   * non-comment lines of the sketch's class body (brace-matched from its
-  * declaration). The paper's point is that every vizketch is small
-  * (35–191 LOC of backend code); we report the same metric for ours.
+  * declaration), plus the same count for the kernels the vizketches
+  * share. The paper's point is that every vizketch is small (35–191 LOC
+  * of backend code); we report the same metric for ours.
   */
 object T6VizketchLoc {
 
-  final case class Row(vizketch: String, loc: Int, paperLoc: Int)
+  final case class Row(vizketch: String, loc: Int, paperLoc: Option[Int])
 
-  /** vizketch label -> (source file, top-level declaration, paper LOC). */
-  val Mapping: Seq[(String, String, String, Int)] = Seq(
-    ("Histogram", "HistogramSketch.scala", "final case class HistogramSketch", 114),
-    ("CDF", "HistogramSketch.scala", "object CdfSketch", 114),
-    ("Stacked histogram", "StackedHistogramSketch.scala", "final case class StackedHistogramSketch", 130),
-    ("Heatmap", "HeatmapSketch.scala", "final case class HeatmapSketch", 130),
-    ("Heatmap trellis", "HeatmapSketch.scala", "final case class TrellisHeatmapSketch", 127),
-    ("Quantile", "QuantileSketch.scala", "final case class QuantileSketch", 79),
-    ("Next items", "NextItemsSketch.scala", "final case class NextItemsSketch", 191),
-    ("Find text", "NextItemsSketch.scala", "final case class FindTextSketch", 108),
-    ("Heavy hitters (sampling)", "HeavyHitters.scala", "final case class SamplingHeavyHittersSketch", 35),
-    ("Range", "MomentsSketch.scala", "final case class MomentsSketch", 156),
-    ("Number distinct", "Hll.scala", "final case class HllSketch", 117),
+  /** label -> (source file, top-level declarations counted, paper LOC). The
+    * shared kernels have no paper LOC; they are counted so that code moved
+    * out of a vizketch class into one still counts.
+    */
+  val Mapping: Seq[(String, String, Seq[String], Option[Int])] = Seq(
+    ("Histogram", "HistogramSketch.scala", Seq("final case class HistogramSketch"), Some(114)),
+    ("CDF", "HistogramSketch.scala", Seq("object CdfSketch"), Some(114)),
+    ("Stacked histogram", "StackedHistogramSketch.scala", Seq("final case class StackedHistogramSketch"), Some(130)),
+    ("Heatmap", "HeatmapSketch.scala", Seq("final case class HeatmapSketch"), Some(130)),
+    ("Heatmap trellis", "HeatmapSketch.scala", Seq("final case class TrellisHeatmapSketch"), Some(127)),
+    ("Quantile", "QuantileSketch.scala", Seq("final case class QuantileSketch"), Some(79)),
+    ("Next items", "NextItemsSketch.scala", Seq("final case class NextItemsSketch"), Some(191)),
+    ("Find text", "NextItemsSketch.scala", Seq("final case class FindTextSketch"), Some(108)),
+    ("Heavy hitters (sampling)", "HeavyHitters.scala", Seq("final case class SamplingHeavyHittersSketch"), Some(35)),
+    ("Range", "MomentsSketch.scala", Seq("final case class MomentsSketch"), Some(156)),
+    ("Number distinct", "Hll.scala", Seq("final case class HllSketch"), Some(117)),
+    ("Chart bucket tally (shared kernel)", "BucketTally.scala", Seq("private[core] object BucketTally"), None),
+    ("Value counts (shared kernel)", "ValueCounts.scala", Seq("final class ValueCounts", "object ValueCounts"), None),
   )
 
   /** The core sources, found from either the repo root or a subproject
@@ -59,10 +65,10 @@ object T6VizketchLoc {
   }
 
   def run(): Seq[Row] =
-    Mapping.map { case (name, file, decl, paper) => Row(name, blockLoc(file, decl), paper) }
+    Mapping.map { case (name, file, decls, paper) => Row(name, decls.map(blockLoc(file, _)).sum, paper) }
 
   def render(rows: Seq[Row]): String =
     TableText.render("T6 (Fig. 9): vizketch coding effort (LOC)",
       Seq("Vizketch", "LOC (ours)", "LOC (paper)"),
-      rows.map(r => Seq(r.vizketch, r.loc.toString, r.paperLoc.toString)))
+      rows.map(r => Seq(r.vizketch, r.loc.toString, r.paperLoc.fold("—")(_.toString))))
 }

@@ -73,17 +73,13 @@ object MembershipSet {
     }
   }
 
-  /** Geometric skip distance for Bernoulli(rate): number of elements to
-    * jump so that each element is kept independently with prob `rate`.
-    */
-  private[storage] def skip(rate: Double, rng: SplitMix): Int =
-    if (rate >= 1.0) 1 else skipBy(-1.0 / math.log1p(-rate), rng)
-
   /** Longest skip drawn; keeps `position + skip` inside Int for any block. */
   private val MaxSkip = (1 << 30).toDouble
 
   /** `1 + floor(E · scale)` with E ~ Exp(1) and scale = −1/log(1 − rate):
-    * a Geometric(rate) skip from one ziggurat draw, without a `log`.
+    * a Geometric(rate) skip from one ziggurat draw, without a `log`, so
+    * that each element is kept independently with probability `rate`.
+    * Scale 0 stands for rate 1: every skip is 1.
     */
   private[storage] def skipBy(scale: Double, rng: SplitMix): Int =
     1 + math.min(rng.nextExponential() * scale, MaxSkip).toInt

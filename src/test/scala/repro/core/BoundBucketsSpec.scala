@@ -6,10 +6,11 @@ import repro.TestData
 import repro.storage._
 
 /** `BucketSpec.bind(column).fill` against the row-at-a-time reference
-  * (-2 when the cell is missing, else `indexOf(block, col, i)`), for every
+  * (-2 when the cell is missing, else `indexOf(column, i)`), for every
   * pairing of bucket spec and column type over full, dense and sparse
   * membership; and the chart sketches built on it against brute-force
-  * counts over the member rows of filtered blocks.
+  * counts over the rows that full and filtered blocks visit, exact and
+  * sampled.
   */
 class BoundBucketsSpec extends AnyFunSuite {
 
@@ -84,7 +85,7 @@ class BoundBucketsSpec extends AnyFunSuite {
           bound.fill(rb.rows, rb.size, out)
           (0 until rb.size).foreach { k =>
             val i   = rb.rows(k)
-            val ref = if (c.isMissing(i)) BoundBuckets.Missing else spec.indexOf(block, "c", i)
+            val ref = if (c.isMissing(i)) BoundBuckets.Missing else spec.indexOf(c, i)
             if (out(k) != ref) ok = false
           }
         }
@@ -185,7 +186,7 @@ class BoundBucketsSpec extends AnyFunSuite {
   private val gb      = StringBoundaryBuckets(Array("B", "UA"))
 
   private def members(b: ColumnarBlock): Vector[Int] = TestData.drain(b.batches)
-  private def at(b: ColumnarBlock, spec: BucketSpec, col: String, i: Int): Int = spec.indexOf(b, col, i)
+  private def at(b: ColumnarBlock, spec: BucketSpec, col: String, i: Int): Int = spec.indexOf(b.column(col), i)
 
   private def filteredBlocks = {
     assert(denseB.membership.isInstanceOf[DenseMembership])
@@ -193,52 +194,81 @@ class BoundBucketsSpec extends AnyFunSuite {
     Seq("dense" -> denseB, "sparse" -> sparseB)
   }
 
-  test("streaming histogram on filtered blocks equals a brute-force count") {
-    for ((name, b) <- filteredBlocks; (col, bk) <- Seq("x" -> xb, "l" -> lb, "d" -> db, "s" -> sb)) {
-      val got    = HistogramSketch(col, bk).summarize(b, LeafCtx(0, 0))
-      val rows   = members(b)
+  private val ctx = LeafCtx(3, 41)
+
+  /** The rows a chart sketch run with `ctx` at `rate` visits: drawn from
+    * the same cursor and rng as its `summarize`.
+    */
+  private def visited(b: ColumnarBlock, rate: Double): Vector[Int] = TestData.drain(b.batches(rate, ctx.rng))
+
+  private def checkHistogram(name: String, b: ColumnarBlock, rate: Double): Unit = {
+    val rows = visited(b, rate)
+    for ((col, bk) <- Seq("x" -> xb, "l" -> lb, "d" -> db, "s" -> sb)) {
+      val got    = HistogramSketch(col, bk, rate).summarize(b, ctx)
       val c      = b.column(col)
       val counts = (0 until bk.count).map(k => rows.count(i => !c.isMissing(i) && at(b, bk, col, i) == k).toLong)
       assert(got.counts.toSeq == counts, s"$name $col")
       assert(got.missing == rows.count(c.isMissing).toLong, s"$name $col")
       assert(got.outOfRange == rows.count(i => !c.isMissing(i) && at(b, bk, col, i) < 0).toLong, s"$name $col")
-      assert(got.sampled == rows.size.toLong)
+      assert(got.sampled == rows.size.toLong && got.rate == rate)
     }
+  }
+
+  private def checkStacked(name: String, b: ColumnarBlock, rate: Double): Unit = {
+    val rows = visited(b, rate)
+    val got  = StackedHistogramSketch("x", xb, "s", sb, rate).summarize(b, ctx)
+    for (x <- 0 until xb.count) {
+      assert(got.barCounts(x) == rows.count(i => at(b, xb, "x", i) == x).toLong, s"$name bar $x")
+      for (y <- 0 until sb.count)
+        assert(got.cell(x, y) == rows.count(i => at(b, xb, "x", i) == x && at(b, sb, "s", i) == y).toLong)
+    }
+    assert(got.missing == rows.count(i => at(b, xb, "x", i) < 0).toLong)
+    assert(got.sampled == rows.size.toLong && got.rate == rate)
+  }
+
+  private def checkHeatmapAndTrellis(name: String, b: ColumnarBlock, rate: Double): Unit = {
+    val rows = visited(b, rate)
+    val hm   = HeatmapSketch("x", xb, "l", lb, rate).summarize(b, ctx)
+    for (x <- 0 until xb.count; y <- 0 until lb.count)
+      assert(hm.cell(x, y) == rows.count(i => at(b, xb, "x", i) == x && at(b, lb, "l", i) == y).toLong,
+        s"$name heatmap ($x,$y)")
+    assert(hm.missing == rows.count(i => at(b, xb, "x", i) < 0 || at(b, lb, "l", i) < 0).toLong)
+    assert(hm.sampled == rows.size.toLong && hm.rate == rate)
+
+    // The group column has missing rows and rows outside the groups; neither is in any plot.
+    val w = b.column("s")
+    assert(rows.exists(w.isMissing) && rows.exists(i => !w.isMissing(i) && at(b, gb, "s", i) < 0), name)
+    val tr = TrellisHeatmapSketch("s", gb, "d", db, "x", xb, rate).summarize(b, ctx)
+    assert(tr.plots.length == gb.count)
+    for (g <- 0 until gb.count) {
+      val inG = rows.filter(i => at(b, gb, "s", i) == g)
+      val p   = tr.plots(g)
+      assert(p.sampled == inG.size.toLong && p.rate == rate, s"$name trellis group $g")
+      assert(p.missing == inG.count(i => at(b, db, "d", i) < 0 || at(b, xb, "x", i) < 0).toLong)
+      for (x <- 0 until db.count; y <- 0 until xb.count)
+        assert(p.cell(x, y) == inG.count(i => at(b, db, "d", i) == x && at(b, xb, "x", i) == y).toLong)
+    }
+  }
+
+  test("streaming histogram on filtered blocks equals a brute-force count") {
+    for ((name, b) <- filteredBlocks) checkHistogram(name, b, 1.0)
   }
 
   test("streaming stacked histogram on filtered blocks equals a brute-force count") {
-    for ((name, b) <- filteredBlocks) {
-      val got  = StackedHistogramSketch("x", xb, "s", sb).summarize(b, LeafCtx(0, 0))
-      val rows = members(b)
-      for (x <- 0 until xb.count) {
-        assert(got.barCounts(x) == rows.count(i => at(b, xb, "x", i) == x).toLong, s"$name bar $x")
-        for (y <- 0 until sb.count)
-          assert(got.cell(x, y) == rows.count(i => at(b, xb, "x", i) == x && at(b, sb, "s", i) == y).toLong)
-      }
-      assert(got.missing == rows.count(i => at(b, xb, "x", i) < 0).toLong)
-      assert(got.sampled == rows.size.toLong)
-    }
+    for ((name, b) <- filteredBlocks) checkStacked(name, b, 1.0)
   }
 
   test("streaming heatmap and trellis on filtered blocks equal a brute-force count") {
-    for ((name, b) <- filteredBlocks) {
-      val rows = members(b)
-      val hm   = HeatmapSketch("x", xb, "l", lb).summarize(b, LeafCtx(0, 0))
-      for (x <- 0 until xb.count; y <- 0 until lb.count)
-        assert(hm.cell(x, y) == rows.count(i => at(b, xb, "x", i) == x && at(b, lb, "l", i) == y).toLong,
-          s"$name heatmap ($x,$y)")
-      assert(hm.missing == rows.count(i => at(b, xb, "x", i) < 0 || at(b, lb, "l", i) < 0).toLong)
-      assert(hm.sampled == rows.size.toLong)
+    for ((name, b) <- filteredBlocks) checkHeatmapAndTrellis(name, b, 1.0)
+  }
 
-      val tr = TrellisHeatmapSketch("s", gb, "d", db, "x", xb).summarize(b, LeafCtx(0, 0))
-      for (g <- 0 until gb.count) {
-        val inG = rows.filter(i => at(b, gb, "s", i) == g)
-        val p   = tr.plots(g)
-        assert(p.sampled == inG.size.toLong, s"$name trellis group $g")
-        assert(p.missing == inG.count(i => at(b, db, "d", i) < 0 || at(b, xb, "x", i) < 0).toLong)
-        for (x <- 0 until db.count; y <- 0 until xb.count)
-          assert(p.cell(x, y) == inG.count(i => at(b, db, "d", i) == x && at(b, xb, "x", i) == y).toLong)
-      }
+  test("chart sketches on the full block, and sampled at rate 0.3, equal a count over the visited rows") {
+    val inputs = ("full" -> block, 1.0) +: (("full" -> block) +: filteredBlocks).map(_ -> 0.3)
+    for (((name, b), rate) <- inputs) {
+      val label = s"$name r=$rate"
+      checkHistogram(label, b, rate)
+      checkStacked(label, b, rate)
+      checkHeatmapAndTrellis(label, b, rate)
     }
   }
 

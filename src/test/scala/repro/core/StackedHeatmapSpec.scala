@@ -157,7 +157,7 @@ class TrellisSketchSpec extends AnyFunSuite {
   test("each trellis plot matches a filtered heatmap") {
     val got = TrellisHeatmapSketch("w", wb, "x", bx, "y", by).summarize(block, LeafCtx(0, 0))
     for (g <- 0 until wb.count) {
-      val fb    = block.filtered(i => wb.indexOf(block, "w", i) == g)
+      val fb    = block.filtered(i => wb.indexOf(block.column("w"), i) == g)
       val plain = HeatmapSketch("x", bx, "y", by).summarize(fb, LeafCtx(0, 0))
       assert(got.plots(g).cells.toSeq == plain.cells.toSeq, s"group $g")
     }

@@ -86,8 +86,9 @@ class MembershipSetSpec extends AnyFunSuite {
   }
 
   test("geometric skip with rate ~1 advances one by one") {
+    // Scale 0 stands for rate 1.
     val rng = new SplitMix(3)
-    (1 to 100).foreach(_ => assert(MembershipSet.skip(1.0, rng) == 1))
+    (1 to 100).foreach(_ => assert(MembershipSet.skipBy(0.0, rng) == 1))
   }
 
   test("empty membership behaves") {
@@ -164,7 +165,8 @@ class MembershipSetSpec extends AnyFunSuite {
     for (rate <- Seq(0.005, 0.05, 0.3, 0.9)) {
       val rng   = new SplitMix(5)
       val draws = 100000
-      val mean  = (0 until draws).map(_ => MembershipSet.skip(rate, rng).toDouble).sum / draws
+      val scale = -1.0 / math.log1p(-rate)
+      val mean  = (0 until draws).map(_ => MembershipSet.skipBy(scale, rng).toDouble).sum / draws
       val sigma = math.sqrt((1 - rate) / (rate * rate) / draws)
       assert(math.abs(mean - 1 / rate) < 4 * sigma, s"rate=$rate: mean skip $mean, expected ${1 / rate}")
     }
