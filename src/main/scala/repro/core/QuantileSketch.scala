@@ -8,8 +8,8 @@ import repro.storage.{Column, ColumnarBlock, RowBatches, StringColumn}
   * of primitive arrays rather than a graph of boxed keys: `priorities`
   * ascending, and per sort column one array aligned with it —
   * `Array[Double]` (NaN = missing) for numeric, date and long columns,
-  * `Array[String]` (null = missing) for string columns. The root sorts the
-  * sampled rows and reads off the requested quantile.
+  * `Array[String]` (null = missing) for string columns. The root selects
+  * the sampled row at the requested quantile's rank.
   */
 final class QuantileSummary(
     val priorities: Array[Long],
@@ -43,44 +43,91 @@ object QuantileSummary {
     case xs: Array[String] => if (xs(r) == null) NullCell else StrCell(xs(r))
   }
 
-  /** Values of `c` at `rows`, in the summary's per-column encoding. */
+  /** Values of `c` at `rows`, in the summary's per-column encoding: one
+    * batch gather for a numeric column.
+    */
   private[core] def gather(c: Column, rows: Array[Int]): AnyRef = c match {
     case s: StringColumn => rows.map(s.asString)
-    case _               => rows.map(c.asDouble)
+    case _ =>
+      val out = new Array[Double](rows.length)
+      c.doubles(rows, rows.length, out)
+      out
   }
 
-  /** Entries `src` of two columns: `i >= 0` picks `a(i)`, `~j` picks `b(j)`. */
-  private[core] def pick(a: AnyRef, b: AnyRef, src: Array[Int]): AnyRef = (a, b) match {
-    case (xs: Array[Double], ys: Array[Double]) => src.map(s => if (s >= 0) xs(s) else ys(~s))
-    case (xs: Array[String], ys: Array[String]) => src.map(s => if (s >= 0) xs(s) else ys(~s))
+  /** Entries `src` of two columns: `i >= 0` takes `a(i)`, `~j` takes `b(j)`. */
+  private[core] def interleave(a: AnyRef, b: AnyRef, src: Array[Int]): AnyRef = (a, b) match {
+    case (xs: Array[Double], ys: Array[Double]) =>
+      val out = new Array[Double](src.length)
+      var k   = 0
+      while (k < src.length) { val s = src(k); out(k) = if (s >= 0) xs(s) else ys(~s); k += 1 }
+      out
+    case (xs: Array[String], ys: Array[String]) =>
+      val out = new Array[String](src.length)
+      var k   = 0
+      while (k < src.length) { val s = src(k); out(k) = if (s >= 0) xs(s) else ys(~s); k += 1 }
+      out
   }
 
-  /** Comparator on sampled rows of one column, in `KeyCell.ordering`
-    * (missing last) times the column's sign.
+  /** The sampled row at rank `k` (0-based) of `RowKey.ordering(sortCols)`:
+    * Hoare's FIND with a median-of-three pivot and a three-way partition
+    * over the row ids, so rows equal to the pivot are settled in one pass.
+    * The rows are in priority order, a hash order independent of their
+    * keys, so the expected work is linear. Rows that compare equal have
+    * identical keys, so the key at rank `k` is that of a full sort.
     */
-  private def columnOrder(col: AnyRef, sign: Int): (Int, Int) => Int = col match {
-    case xs: Array[Double] => (r1, r2) => {
-      val x = xs(r1)
-      val y = xs(r2)
-      sign * (if (x.isNaN) { if (y.isNaN) 0 else 1 } else if (y.isNaN) -1 else java.lang.Double.compare(x, y))
+  private[core] def select(s: QuantileSummary, sortCols: Seq[SortCol], k: Int): Int = {
+    require(k >= 0 && k < s.size, s"rank $k of ${s.size} rows")
+    val order = new SampleOrder(s.columns, sortCols)
+    val ids   = Array.range(0, s.size)
+    def swap(x: Int, y: Int): Unit = { val t = ids(x); ids(x) = ids(y); ids(y) = t }
+    var lo    = 0
+    var hi    = s.size // rank k lies in ids[lo, hi)
+    var found = -1
+    while (found < 0) {
+      val p  = order.median(ids(lo), ids((lo + hi) >>> 1), ids(hi - 1))
+      var lt = lo // ids[lo, lt) < p, ids[lt, i) = p, ids[gt, hi) > p
+      var i  = lo
+      var gt = hi
+      while (i < gt) {
+        val c = order.compare(ids(i), p)
+        if (c < 0) { swap(lt, i); lt += 1; i += 1 }
+        else if (c > 0) { gt -= 1; swap(i, gt) }
+        else i += 1
+      }
+      if (k < lt) hi = lt else if (k >= gt) lo = gt else found = p
     }
-    case xs: Array[String] => (r1, r2) => sign * KeyCell.compareStrings(xs(r1), xs(r2))
+    found
+  }
+}
+
+/** Sampled rows of `columns` in `KeyCell.ordering` (missing last) per
+  * column times the column's sign, lexicographically: the order
+  * `RowKey.ordering(sortCols)` gives their keys.
+  */
+private final class SampleOrder(columns: Array[AnyRef], sortCols: Seq[SortCol]) {
+  private[this] val signs =
+    Array.tabulate(columns.length)(j => if (j < sortCols.length && !sortCols(j).ascending) -1 else 1)
+
+  def compare(r1: Int, r2: Int): Int = {
+    var j = 0
+    while (j < columns.length) {
+      val c = columns(j) match {
+        case xs: Array[Double] =>
+          val x = xs(r1)
+          val y = xs(r2)
+          if (x.isNaN) { if (y.isNaN) 0 else 1 } else if (y.isNaN) -1 else java.lang.Double.compare(x, y)
+        case xs: Array[String] => KeyCell.compareStrings(xs(r1), xs(r2))
+      }
+      if (c != 0) return c * signs(j)
+      j += 1
+    }
+    0
   }
 
-  /** Sampled rows ordered as their keys are by `RowKey.ordering(sortCols)`. */
-  def sortedRows(s: QuantileSummary, sortCols: Seq[SortCol]): Array[Int] = {
-    val orders = s.columns.zipWithIndex.map { case (c, j) =>
-      columnOrder(c, if (j < sortCols.length && !sortCols(j).ascending) -1 else 1)
-    }
-    val idx = Array.tabulate[Integer](s.size)(Int.box)
-    java.util.Arrays.sort(idx, (r1: Integer, r2: Integer) => {
-      var cmp = 0
-      var j   = 0
-      while (cmp == 0 && j < orders.length) { cmp = orders(j)(r1, r2); j += 1 }
-      cmp
-    })
-    idx.map(_.intValue)
-  }
+  /** The median of three rows. */
+  def median(a: Int, b: Int, c: Int): Int =
+    if (compare(a, b) <= 0) { if (compare(b, c) <= 0) b else if (compare(a, c) <= 0) c else a }
+    else { if (compare(a, c) <= 0) a else if (compare(b, c) <= 0) c else b }
 }
 
 /** Quantile-for-scroll-bar vizketch (§4.3 / Theorem 2): with O(V²·log(1/δ))
@@ -135,7 +182,7 @@ final case class QuantileSketch(
       k += 1
     }
     new QuantileSummary(pri,
-      Array.tabulate(a.columns.length)(c => QuantileSummary.pick(a.columns(c), b.columns(c), src)), cap)
+      Array.tabulate(a.columns.length)(c => QuantileSummary.interleave(a.columns(c), b.columns(c), src)), cap)
   }
 }
 
@@ -147,23 +194,40 @@ private final class BottomN(cap: Int) {
   val rows = new Array[Int](cap)
   var size = 0
 
-  def offer(p: Long, r: Int): Unit =
-    if (size < cap) {
-      var k = size
-      size += 1
-      while (k > 0 && pri((k - 1) >>> 1) < p) {
-        val parent = (k - 1) >>> 1
-        pri(k) = pri(parent); rows(k) = rows(parent); k = parent
-      }
-      pri(k) = p; rows(k) = r
-    } else if (cap > 0 && p < pri(0)) siftDown(p, r, size)
-
-  /** Offers each row r of the cursor with priority `SplitMix.mix(base, r)`. */
-  def offerAll(rb: RowBatches, base: Long): Unit =
-    while (rb.next()) {
-      var j = 0
-      while (j < rb.size) { val r = rb.rows(j); offer(SplitMix.mix(base, r.toLong), r); j += 1 }
+  /** Adds (p, r) to a heap that is not full. */
+  private def push(p: Long, r: Int): Unit = {
+    var k = size
+    size += 1
+    while (k > 0 && pri((k - 1) >>> 1) < p) {
+      val parent = (k - 1) >>> 1
+      pri(k) = pri(parent); rows(k) = rows(parent); k = parent
     }
+    pri(k) = p; rows(k) = r
+  }
+
+  /** Offers each row r of the cursor with priority `SplitMix.mix(base, r)`.
+    * A batch's priorities are computed in one loop; once the heap is full,
+    * a row enters only below its largest priority, so the rest of the batch
+    * costs one compare per row.
+    */
+  def offerAll(rb: RowBatches, base: Long): Unit = {
+    val ps = new Array[Long](RowBatches.Capacity)
+    while (rb.next()) {
+      val n   = rb.size
+      val ids = rb.rows
+      var j   = 0
+      while (j < n) { ps(j) = SplitMix.mix(base, ids(j).toLong); j += 1 }
+      j = 0
+      while (j < n && size < cap) { push(ps(j), ids(j)); j += 1 }
+      if (j < n && cap > 0) {
+        var max = pri(0)
+        while (j < n) {
+          if (ps(j) < max) { siftDown(ps(j), ids(j), size); max = pri(0) }
+          j += 1
+        }
+      }
+    }
+  }
 
   /** Place (p, r) at the root and sift it down within the first `n` slots. */
   private def siftDown(p: Long, r: Int, n: Int): Unit = {
@@ -194,8 +258,7 @@ object QuantileSketch {
   /** Row key at quantile q of the sampled sort order. */
   def quantileOf(s: QuantileSummary, sortCols: Seq[SortCol], q: Double): Option[RowKey] = {
     if (s.size == 0) return None
-    val sorted = QuantileSummary.sortedRows(s, sortCols)
-    val idx    = math.min(sorted.length - 1, math.max(0, (q * sorted.length).toInt))
-    Some(s.key(sorted(idx)))
+    val idx = math.min(s.size - 1, math.max(0, (q * s.size).toInt))
+    Some(s.key(QuantileSummary.select(s, sortCols, idx)))
   }
 }

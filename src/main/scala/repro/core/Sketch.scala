@@ -19,7 +19,9 @@ final case class LeafCtx(blockId: Long, seed: Long) {
   * identity for `merge` (the summary of an empty dataset). Implementations
   * must satisfy, for exact sketches,
   * `summarize(D1 ⊎ D2) == merge(summarize(D1), summarize(D2))`,
-  * and for sampled ones determinism in (seed, blocking).
+  * and for sampled ones determinism in (seed, blocking). `merge` leaves
+  * its arguments as they were: the root keeps each update it receives and
+  * counts its bytes when they are first read.
   *
   * Per the paper's modularity claim (§5.5), implementations contain no
   * concurrency, communication, or storage code — the engine owns those.

@@ -9,17 +9,23 @@ import repro.core.{LeafCtx, Serde, Sketch}
 import repro.storage.{CachedTable, ColumnarBlock, PartitionFn, PartitionMap}
 
 /** One partial update delivered to the root (§5.3): the merged summary so
-  * far, progress (leaves completed), elapsed time, and the serialized size
-  * of the update this wave sent up the tree — the root-received bytes the
-  * paper plots in Fig. 5 (bottom).
+  * far, progress (leaves completed), elapsed time, and the update this wave
+  * sent up the tree (none for a table without leaves).
+  *
+  * `bytesThisUpdate` is the root-received bytes the paper plots in Fig. 5
+  * (bottom): the Java-serialized size of the merged update, computed when
+  * first read. Merges do not modify their arguments, so the update is
+  * still the one that was sent.
   */
 final case class Partial[S](
     value: S,
     leavesDone: Int,
     leavesTotal: Int,
     elapsedMs: Double,
-    bytesThisUpdate: Long
-)
+    update: Option[S]
+) {
+  lazy val bytesThisUpdate: Long = update.fold(0L)(Serde.sizeOf)
+}
 
 /** Outcome of a progressive run: all partials in arrival order. */
 final case class ProgressiveResult[S](partials: Vector[Partial[S]], cancelled: Boolean) {
@@ -39,6 +45,11 @@ final case class ProgressiveResult[S](partials: Vector[Partial[S]], cancelled: B
   * runs them all: each partition merges its blocks' summaries (a
   * worker-level aggregation node), and the root merges the partition
   * summaries that arrive within an aggregation interval into one update.
+  *
+  * Root-received bytes (Fig. 5, bottom) are the Java-serialized size of
+  * each merged update, one per partial, computed when first read
+  * (`Partial.bytesThisUpdate`), off the query's clock. The bytes of Spark's
+  * serialized task results, one per partition, are not what is counted.
   */
 object ExecutionTree {
 
@@ -72,7 +83,7 @@ object ExecutionTree {
     val summ  = leafSummaries(t, sk, seed)
     val sc    = summ.sparkContext
     val parts = summ.getNumPartitions
-    if (parts == 0) return ProgressiveResult(Vector(Partial(sk.zero, 0, 0, 0.0, 0L)), cancelled = false)
+    if (parts == 0) return ProgressiveResult(Vector(Partial(sk.zero, 0, 0, 0.0, None)), cancelled = false)
 
     // Leaf results and, if the job fails, its error arrive on one queue,
     // so the root wakes for either at once.
@@ -117,7 +128,7 @@ object ExecutionTree {
         // it into the running result and forwards a partial to the UI.
         acc = sk.merge(acc, pending)
         done += pendingN
-        val p = Partial(acc, done, parts, elapsedMs, Serde.sizeOf(pending))
+        val p = Partial(acc, done, parts, elapsedMs, Some(pending))
         partials += p
         pending = sk.zero
         pendingN = 0

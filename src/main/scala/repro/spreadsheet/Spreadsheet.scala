@@ -7,18 +7,22 @@ import repro.storage.CachedTable
 
 /** Timing and traffic of one visualization: preparation-phase time (first
   * execution tree, often served by the computation cache), time to first
-  * partial at the root, total time, and root-received bytes (§5.3, §7.1).
+  * partial at the root, total time, and the partials of its progressive
+  * trees in the order they ran (§5.3, §7.1). `rootBytes`, the
+  * root-received bytes, is the sum of their updates' serialized sizes,
+  * each computed when first read.
   */
 final case class RunInfo(
     prepMs: Double,
     firstPartialMs: Double,
     totalMs: Double,
-    rootBytes: Long,
-    updates: Int
+    partials: Vector[Partial[_]]
 ) {
+  def updates: Int    = partials.length
+  def rootBytes: Long = partials.map(_.bytesThisUpdate).sum
+
   def +(o: RunInfo): RunInfo =
-    RunInfo(prepMs + o.prepMs, firstPartialMs, totalMs + o.totalMs,
-      rootBytes + o.rootBytes, updates + o.updates)
+    RunInfo(prepMs + o.prepMs, firstPartialMs, totalMs + o.totalMs, partials ++ o.partials)
 }
 
 final case class Viz[R](result: R, info: RunInfo)
@@ -56,7 +60,7 @@ final class Spreadsheet(val cache: ComputationCache, val defaultV: Int = 200,
                                        prepMs: Double): Viz[S] = {
     val r = ExecutionTree.runProgressive(t, sk, seed)
     Viz(r.finalValue,
-      RunInfo(prepMs, prepMs + r.firstPartialMs, prepMs + r.totalMs, r.totalBytes, r.updates))
+      RunInfo(prepMs, prepMs + r.firstPartialMs, prepMs + r.totalMs, r.partials))
   }
 
   // ---------- charts ----------

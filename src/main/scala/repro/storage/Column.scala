@@ -54,14 +54,15 @@ object DoubleColumn {
   * integer code |c| < 2^53 and a scale k in 0..`MaxScale` (the smallest
   * such k), and the codes' span + 1 is at most one per `RowsPerEntry`
   * rows, the block is *scaled*: its codes are packed by `PackedInts`, a
-  * missing (NaN) slot holds the code one past the largest present one,
-  * and `table` holds the decoded value of every offset, the code divided
-  * by the exact power of ten (NaN at the missing code), so a read is one
-  * gather through it and every value decodes bit for bit. Otherwise
-  * (±∞, −0.0, NaN payloads other than `Double.NaN`, codes ≥ 2^53,
-  * full-precision data, spans too wide for the table) the block is *raw*:
-  * it keeps its `double[]`, NaN meaning missing. The data chooses;
-  * neither is an option.
+  * missing (NaN) slot holds the code one past the largest present one, a
+  * −0.0 slot the code after that (after the largest present one if no
+  * slot is missing), and `table` holds the decoded value of every offset,
+  * the code divided by the exact power of ten (NaN and −0.0 at their
+  * reserved codes), so a read is one gather through it and every value
+  * decodes bit for bit. Otherwise (±∞, NaN payloads other than
+  * `Double.NaN`, codes ≥ 2^53, full-precision data, spans too wide for
+  * the table) the block is *raw*: it keeps its `double[]`, NaN meaning
+  * missing. The data chooses; neither is an option.
   */
 final class PackedDoubles private (
     val scale: Int,
@@ -99,11 +100,12 @@ object PackedDoubles {
     */
   val RowsPerEntry = 16
 
-  private val Raw     = MaxScale + 1
-  private val Pow10   = Array.tabulate(Raw)(k => math.pow(10, k))
-  private val TwoTo53 = 1L << 53
-  private val NaNBits = java.lang.Double.doubleToRawLongBits(Double.NaN)
-  private val NoCode  = Long.MinValue
+  private val Raw         = MaxScale + 1
+  private val Pow10       = Array.tabulate(Raw)(k => math.pow(10, k))
+  private val TwoTo53     = 1L << 53
+  private val NaNBits     = java.lang.Double.doubleToRawLongBits(Double.NaN)
+  private val NegZeroBits = java.lang.Double.doubleToRawLongBits(-0.0)
+  private val NoCode      = Long.MinValue
 
   /** The integer c with |c| < 2^53 and `c / p` equal to `v` bit for bit;
     * `NoCode` if there is none.
@@ -115,12 +117,16 @@ object PackedDoubles {
     else NoCode
   }
 
+  /** No integer code decodes to −0.0, so it takes a reserved one. */
+  private def isNegZero(v: Double): Boolean = java.lang.Double.doubleToRawLongBits(v) == NegZeroBits
+
   /** The smallest scale ≥ `k` at which `v` round-trips, `Raw` if none. A
     * value that fits at a scale fits at every larger one while its code
     * stays below 2^53, which `apply` checks as it packs.
     */
   private def scaleFor(v: Double, k: Int): Int =
     if (v.isNaN) { if (java.lang.Double.doubleToRawLongBits(v) == NaNBits) k else Raw }
+    else if (isNegZero(v)) k
     else {
       var s = k
       while (s < Raw && code(v, Pow10(s)) == NoCode) s += 1
@@ -140,13 +146,15 @@ object PackedDoubles {
     if (k == Raw) return raw
     val p     = Pow10(k)
     val codes = if (scratch == null) new Array[Long](n) else scratch
-    var lo    = Long.MaxValue
-    var hi    = Long.MinValue
-    var nan   = false
+    var lo      = Long.MaxValue
+    var hi      = Long.MinValue
+    var nan     = false
+    var negZero = false
     i = 0
     while (i < n) {
       val v = values(i)
       if (v.isNaN) nan = true
+      else if (isNegZero(v)) negZero = true
       else {
         val c = code(v, p)
         if (c == NoCode) return raw
@@ -156,15 +164,22 @@ object PackedDoubles {
       }
       i += 1
     }
-    if (lo > hi) { lo = 0L; hi = -1L } // no value present: every slot takes code 0
+    if (lo > hi) { lo = 0L; hi = -1L } // no value present: the reserved codes start at 0
+    // The reserved codes follow the largest present one: NaN's, then −0.0's.
     val missing = hi + 1
-    if (((if (nan) missing else hi) - lo + 1) * RowsPerEntry > n) return raw
+    val negCode = if (nan) hi + 2 else hi + 1
+    val top     = if (negZero) negCode else if (nan) missing else hi
+    if ((top - lo + 1) * RowsPerEntry > n) return raw
     i = 0
-    while (i < n) { if (values(i).isNaN) codes(i) = missing; i += 1 }
+    while (i < n) {
+      val v = values(i)
+      if (v.isNaN) codes(i) = missing else if (isNegZero(v)) codes(i) = negCode
+      i += 1
+    }
     val packed = PackedInts.pack(codes, n, null)
     val table = Array.tabulate(packed.span.toInt + 1) { o =>
       val c = packed.base + o
-      if (c == missing) Double.NaN else c.toDouble / p
+      if (nan && c == missing) Double.NaN else if (negZero && c == negCode) -0.0 else c.toDouble / p
     }
     new PackedDoubles(k, packed, table, null)
   }

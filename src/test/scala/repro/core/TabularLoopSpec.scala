@@ -297,8 +297,10 @@ class TabularLoopSpec extends AnyFunSuite {
           size <- Seq(5, 1000)
           base  = SplitMix.mix(ctx.seed, ctx.blockId)
           kept  = rows(rate).map(i => (SplitMix.mix(base, i.toLong), i)).sortBy(_._1).take(size)
-          want  = new QuantileSummary(kept.map(_._1).toArray,
-                    sort.map(sc => QuantileSummary.gather(b.column(sc.name), kept.map(_._2).toArray)).toArray, size)
+          want  = new QuantileSummary(kept.map(_._1).toArray, sort.map(sc => b.column(sc.name) match {
+                    case c: StringColumn => kept.map(k => c.asString(k._2)).toArray: AnyRef
+                    case c               => kept.map(k => c.asDouble(k._2)).toArray: AnyRef
+                  }).toArray, size)
           got   = QuantileSketch(sort, size, rate).summarize(b, ctx)
           if got != want
         } yield s"quantile rate=$rate n=$size: got ${got.sample}, want ${want.sample}"

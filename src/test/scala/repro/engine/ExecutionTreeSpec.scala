@@ -50,6 +50,17 @@ class ExecutionTreeSpec extends SparkSpec {
     assert(times == times.sorted)
   }
 
+  test("each partial's bytes are the serialized size of the update it stands for, and they sum to totalBytes") {
+    val sk   = StreamingHistogramSketch("k", buckets)
+    val prog = ExecutionTree.runProgressive(table, sk, aggregationIntervalMs = 1)
+    assert(prog.partials.forall(_.update.isDefined))
+    val sizes = prog.partials.map(p => Serde.sizeOf(p.update.get))
+    assert(prog.partials.map(_.bytesThisUpdate) == sizes)
+    assert(prog.totalBytes == sizes.sum)
+    // The updates are the ones the root merged: together they are the final value.
+    assert(prog.partials.map(_.update.get).reduce(sk.merge).counts.toSeq == prog.finalValue.counts.toSeq)
+  }
+
   test("summaries stay small: bytes are O(screen), not O(data)") {
     val prog = ExecutionTree.runProgressive(table, StreamingHistogramSketch("k", buckets))
     assert(prog.totalBytes < 100 * 1024, s"root received ${prog.totalBytes} bytes")

@@ -3,7 +3,7 @@ package repro.spreadsheet
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core._
-import repro.engine.{ComputationCache, ExecutionTree}
+import repro.engine.{ComputationCache, ExecutionTree, Partial}
 import repro.harness.Datasets
 import repro.storage.CachedTable
 
@@ -144,6 +144,17 @@ class SpreadsheetSpec extends SparkSpec {
       assert(one.finalValue == two.finalValue)
       for (r <- Seq(one, two)) assert(r.totalBytes + next <= limit, s"${r.updates} partials: ${r.totalBytes} + $next bytes")
     } finally big.drop()
+  }
+
+  test("O4's root bytes are the sum of its two trees' updates") {
+    val sort      = Seq(SortCol("Origin", ascending = false), SortCol("DepDelay"))
+    val viz       = sheet.quantileThenNext(table, sort, 0.25)
+    val (q, next) = viz.info.partials.span(_.value.isInstanceOf[QuantileSummary])
+    assert(q.nonEmpty && next.nonEmpty && next.forall(_.value.isInstanceOf[NextItemsSummary]))
+    assert(q.last.leavesDone == q.last.leavesTotal && next.last.leavesDone == next.last.leavesTotal)
+    def bytes(tree: Seq[Partial[_]]) = tree.map(p => Serde.sizeOf(p.update.get)).sum
+    assert(viz.info.rootBytes == bytes(q) + bytes(next))
+    assert(viz.info.updates == q.length + next.length)
   }
 
   test("findText locates the first match in sort order") {

@@ -5,7 +5,7 @@ import org.apache.spark.sql.types._
 import org.apache.spark.util.SizeEstimator
 import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.SplitMix
+import repro.core.{BoundBuckets, NumericBuckets, SplitMix}
 
 class ColumnSpec extends AnyFunSuite {
 
@@ -248,13 +248,17 @@ class ColumnSpec extends AnyFunSuite {
 
   /** `n` values `c / 10^scale` for codes c in [lo, lo + span] with both
     * ends present; `lo` ends in 3, so no smaller scale holds it. NaN in
-    * about a fifth of the other slots with `withNaN`.
+    * about a fifth of the other slots with `withNaN`, −0.0 in about a
+    * seventh with `withNegZero`.
     */
-  private def decimals(n: Int, lo: Long, span: Long, scale: Int, withNaN: Boolean, rng: SplitMix): Array[Double] = {
+  private def decimals(n: Int, lo: Long, span: Long, scale: Int, withNaN: Boolean, rng: SplitMix,
+                       withNegZero: Boolean = false): Array[Double] = {
     val p = math.pow(10, scale)
     Array.tabulate(n) { i =>
       val c = if (i == 0) lo else if (i == 1) lo + span else lo + java.lang.Long.remainderUnsigned(rng.nextLong(), span + 1)
-      if (withNaN && i > 1 && rng.nextInt(5) == 0) Double.NaN else c.toDouble / p
+      if (withNaN && i > 1 && rng.nextInt(5) == 0) Double.NaN
+      else if (withNegZero && i > 1 && rng.nextInt(7) == 0) -0.0
+      else c.toDouble / p
     }
   }
 
@@ -268,11 +272,12 @@ class ColumnSpec extends AnyFunSuite {
       val rng = new SplitMix(seed)
       (0 to PackedDoubles.MaxScale + 1).forall { scale =>
         CodeSpans.forall { span =>
-          Seq(false, true).forall { withNaN =>
-            val vs = decimals(n, lo, span, scale, withNaN, rng)
+          Seq((false, false), (true, false), (false, true), (true, true)).forall { case (withNaN, withNegZero) =>
+            val vs = decimals(n, lo, span, scale, withNaN, rng, withNegZero)
             val c  = DoubleColumn(vs)
-            // A missing value takes the code past the largest one.
-            val codeSpan = if (vs.exists(_.isNaN)) span + 1 else span
+            // A missing value takes the code past the largest one, −0.0 the code after that.
+            val codeSpan = span + (if (vs.exists(_.isNaN)) 1 else 0) +
+              (if (vs.exists(v => bits(v) == bits(-0.0))) 1 else 0)
             val shape =
               if (scale > PackedDoubles.MaxScale || (codeSpan + 1) * PackedDoubles.RowsPerEntry > n)
                 !c.values.isScaled && (c.values.raw eq vs)
@@ -285,8 +290,8 @@ class ColumnSpec extends AnyFunSuite {
     })
   }
 
-  test("infinities, negative zero, other NaNs and codes of 2^53 keep the raw array") {
-    val specials = Seq(Double.PositiveInfinity, Double.NegativeInfinity, -0.0, 9007199254740992.0,
+  test("infinities, other NaNs and codes of 2^53 keep the raw array") {
+    val specials = Seq(Double.PositiveInfinity, Double.NegativeInfinity, 9007199254740992.0,
       -9007199254740992.0, java.lang.Double.longBitsToDouble(0x7ff8000000000001L), 1e300)
     val gen = for {
       n    <- Gen.choose(100, 500)
@@ -302,6 +307,33 @@ class ColumnSpec extends AnyFunSuite {
         scaled && !c.values.isScaled && (c.values.raw eq vs) && holds(c, vs, rng)
       }
     })
+  }
+
+  test("a block with −0.0 cells is scaled, decodes them bit for bit and buckets them as the raw path does") {
+    val rng = new SplitMix(23)
+    for (withNaN <- Seq(false, true); span <- Seq(0L, 40L, 120L)) {
+      val vs = decimals(2000, -23L, span, 1, withNaN, rng, withNegZero = true)
+      val c  = DoubleColumn(vs)
+      assert(c.values.isScaled && c.values.scale == 1, s"span $span")
+      assert(c.values.table.length == span + 2 + (if (withNaN) 1 else 0))
+      assert(c.values.table.count(x => bits(x) == bits(-0.0)) == 1)
+      assert(holds(c, vs, rng))
+      // The same cells plus one full-precision value keep the raw array.
+      val raw  = DoubleColumn(vs :+ math.Pi)
+      val rows = rowIds(vs.length, rng)
+      assert(!raw.values.isScaled)
+      for (spec <- Seq(NumericBuckets(-2.3, 9.7, 10), NumericBuckets(0.0, 9.7, 7), NumericBuckets(-0.0, 1.0, 3),
+                       NumericBuckets(-2.3, 0.0, 4), NumericBuckets(-2.3, -0.0, 4))) {
+        val (scaledIds, rawIds) = (new Array[Int](rows.length), new Array[Int](rows.length))
+        spec.bind(c).fill(rows, rows.length, scaledIds)
+        spec.bind(raw).fill(rows, rows.length, rawIds)
+        val want = rows.map(i => if (vs(i).isNaN) BoundBuckets.Missing else spec.indexOf(vs(i)))
+        assert(scaledIds.toSeq == rawIds.toSeq && rawIds.toSeq == want.toSeq, spec)
+      }
+    }
+    val zeros = Array.fill(64)(-0.0)
+    val z     = DoubleColumn(zeros)
+    assert(z.values.isScaled && z.values.table.length == 1 && holds(z, zeros, rng))
   }
 
   test("an all-missing double block is scaled with every slot missing") {
