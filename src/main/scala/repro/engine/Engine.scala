@@ -16,7 +16,7 @@ import scala.reflect.ClassTag
   */
 sealed trait Op extends Serializable { def tableId: String }
 final case class LoadOp(tableId: String, builderId: String, params: Map[String, String]) extends Op
-final case class FilterOp(tableId: String, parentId: String, predId: String, params: Map[String, String]) extends Op
+final case class FilterOp(tableId: String, parentId: String, label: String, predId: String, params: Map[String, String]) extends Op
 final case class DeriveOp(tableId: String, parentId: String, col: String, fnId: String, params: Map[String, String]) extends Op
 
 /** The redo log: the only persistent structure Hillview maintains (§5.7).
@@ -47,15 +47,14 @@ final class RedoLog {
 }
 
 /** The root node's view of the system: a registry of soft-state tables, a
-  * redo log, a computation cache, and registries of named table builders,
+  * redo log, and registries of named table builders,
   * predicates, and map functions (so log replay can reconstruct any
   * table — §5.7: "in-memory data is reconstructed by reloading the
   * original snapshot ... tables obtained from filtering can be
   * regenerated by re-executing the operation that created them").
   */
 final class Engine(val spark: SparkSession) {
-  val log   = new RedoLog
-  val cache = new ComputationCache()
+  val log = new RedoLog
 
   private val builders   = TrieMap.empty[String, Map[String, String] => CachedTable]
   private val predicates = TrieMap.empty[String, Map[String, String] => RowPred]
@@ -73,7 +72,7 @@ final class Engine(val spark: SparkSession) {
   /** Filter an existing table (logged). */
   def filter(parent: CachedTable, label: String, predId: String,
              params: Map[String, String] = Map.empty): CachedTable =
-    logged(FilterOp(s"${parent.id}|filter:$label", parent.id, predId, params))
+    logged(FilterOp(s"${parent.id}|filter:$label", parent.id, label, predId, params))
 
   /** Derive a column on an existing table (logged). */
   def derive(parent: CachedTable, col: String, fnId: String,
@@ -138,11 +137,14 @@ final class Engine(val spark: SparkSession) {
 
   /** The id of the load at the root of `tableId`'s chain in the log. */
   private def sourceOf(tableId: String): String = log.find(tableId) match {
-    case Some(FilterOp(_, parentId, _, _))    => sourceOf(parentId)
+    case Some(FilterOp(_, parentId, _, _, _)) => sourceOf(parentId)
     case Some(DeriveOp(_, parentId, _, _, _)) => sourceOf(parentId)
     case _                                    => tableId
   }
 
+  /** Rebuild `op`'s table. A filter or derive of the table registered as
+    * its parent already carries `op`'s table id.
+    */
   private def materialize(op: Op): CachedTable = {
     val t = op match {
       case LoadOp(id, builderId, params) =>
@@ -151,18 +153,14 @@ final class Engine(val spark: SparkSession) {
         val built = b(params)
         // Warmed here: only a blocking job cuts a cached source's lineage.
         new CachedTable(id, built.blocks, built.columnNames).warm()
-      case FilterOp(id, parentId, predId, params) =>
+      case FilterOp(_, parentId, label, predId, params) =>
         val p = predicates.getOrElse(predId,
           throw new IllegalStateException(s"predicate $predId not registered"))
-        val parent = table(parentId)
-        val f = parent.filter(id.split("\\|filter:").last, p(params))
-        new CachedTable(id, f.blocks, f.columnNames, f.sourceBlocksId)
-      case DeriveOp(id, parentId, col, fnId, params) =>
+        table(parentId).filter(label, p(params))
+      case DeriveOp(_, parentId, col, fnId, params) =>
         val f = mapFns.getOrElse(fnId,
           throw new IllegalStateException(s"map function $fnId not registered"))
-        val parent = table(parentId)
-        val d = parent.derive(col, f(params))
-        new CachedTable(id, d.blocks, d.columnNames, d.sourceBlocksId)
+        table(parentId).derive(col, f(params))
     }
     registry.put(op.tableId, t)
     t
@@ -175,7 +173,6 @@ final class Engine(val spark: SparkSession) {
   def dropAllSoftState(): Unit = {
     registry.values.foreach(_.drop())
     registry.clear()
-    cache.clear()
   }
 
   def registeredTables: Set[String] = registry.keySet.toSet

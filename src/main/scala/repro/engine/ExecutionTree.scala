@@ -41,9 +41,8 @@ final case class ProgressiveResult[S](partials: Vector[Partial[S]], cancelled: B
   * receives a stream of partial results (`runProgressive`) without
   * waiting for stragglers. A blocking answer (`run`) is the last partial.
   *
-  * On Spark, leaves are partitions of the cached block RDD and one job
-  * runs them all: each partition merges its blocks' summaries (a
-  * worker-level aggregation node), and the root merges the partition
+  * On Spark, leaves are partitions of the cached block RDD, each holding
+  * one block, and one job runs them all; the root merges the leaf
   * summaries that arrive within an aggregation interval into one update.
   *
   * Root-received bytes (Fig. 5, bottom) are the Java-serialized size of
@@ -91,7 +90,7 @@ object ExecutionTree {
     val start = System.nanoTime()
     val action = sc.submitJob[S, S, Unit](
       summ,
-      MergeAll(sk),
+      LeafResult[S](),
       0 until parts,
       (_: Int, s: S) => { queue.put(Success(s)); () },
       ())
@@ -143,25 +142,19 @@ object ExecutionTree {
   }
 }
 
-/** A leaf: summarize each block of the partition and merge them locally;
-  * the one place a block gets its `LeafCtx` (`LocalWorker` uses it too).
-  * The block id is a `Long`: as an `Int`, `pid * 100000` wraps negative
-  * from partition 21,475 on.
+/** A leaf: summarize the partition's one block (none for an empty
+  * partition); the one place a block gets its `LeafCtx`, seeded by the
+  * partition index (`LocalWorker` uses it too).
   */
 private final case class LeafFold[S](sk: Sketch[S], seed: Long) extends PartitionFn[ColumnarBlock, S] {
   def apply(pid: Int, it: Iterator[ColumnarBlock]): Iterator[S] = {
-    var acc     = sk.zero
-    var blockNo = 0
-    while (it.hasNext) {
-      val b = it.next()
-      acc = sk.merge(acc, sk.summarize(b, LeafCtx(pid.toLong * 100000 + blockNo, seed)))
-      blockNo += 1
-    }
-    Iterator.single(acc)
+    val s = if (it.hasNext) sk.summarize(it.next(), LeafCtx(pid, seed)) else sk.zero
+    require(!it.hasNext, s"partition $pid holds more than one block")
+    Iterator.single(s)
   }
 }
 
-/** The job function of `runProgressive`: a partition's summaries merged. */
-private final case class MergeAll[S](sk: Sketch[S]) extends (Iterator[S] => S) with Serializable {
-  def apply(it: Iterator[S]): S = it.foldLeft(sk.zero)(sk.merge)
+/** The job function of `runProgressive`: a leaf's one summary. */
+private final case class LeafResult[S]() extends (Iterator[S] => S) with Serializable {
+  def apply(it: Iterator[S]): S = it.next()
 }

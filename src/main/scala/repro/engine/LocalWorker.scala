@@ -11,9 +11,10 @@ import scala.jdk.CollectionConverters._
   * paper pins the leaf count and thread count explicitly; the distributed
   * path is [[ExecutionTree]].
   *
-  * Seed rule: block `i` is summarized as `LeafFold` summarizes the one
-  * block of Spark partition `i`, so on a table with one block per
-  * partition `LocalWorker` and [[ExecutionTree]] draw the same samples.
+  * Seed rule: block `i` is summarized as `LeafFold` summarizes the block
+  * of Spark partition `i`, so over the collected blocks of a table whose
+  * partitions are all non-empty, `LocalWorker` and [[ExecutionTree]] draw
+  * the same samples.
   */
 object LocalWorker {
 
@@ -66,7 +67,7 @@ object LocalWorker {
   * cost is negligible — summaries are O(screen)-sized). This preserves
   * the paper's shapes: constant latency for streaming sketches, falling
   * latency for sampled ones. Server `s` is a `LocalWorker` run with seed
-  * `seed + s`, so its blocks follow `LocalWorker`'s seed rule.
+  * `seed + s`.
   */
 object ClusterSim {
 

@@ -33,8 +33,15 @@ final case class Viz[R](result: R, info: RunInfo)
   * deterministic; the second computes the visualization summary with
   * resolution-derived parameters, delivered progressively.
   */
-final class Spreadsheet(val cache: ComputationCache, val defaultV: Int = 200,
-                        val defaultH: Int = 200, val heatBins: Int = 66) {
+final class Spreadsheet(val cache: ComputationCache) {
+
+  /** Chart resolution in pixels, bars' vertical (V) and the CDF's
+    * horizontal (H) extent, which set the sample sizes (App. C.1); and
+    * heat-map bins per axis.
+    */
+  private val V        = 200
+  private val H        = 200
+  private val HeatBins = 66
 
   // ---------- preparation-phase sketches (cached) ----------
 
@@ -66,26 +73,22 @@ final class Spreadsheet(val cache: ComputationCache, val defaultV: Int = 200,
   // ---------- charts ----------
 
   /** Histogram over a numeric column (O5-style without the cdf). */
-  def histogram(t: CachedTable, col: String, buckets: Int = 100, v: Int = 0,
+  def histogram(t: CachedTable, col: String, buckets: Int = 100,
                 sampled: Boolean = true, seed: Long = 1): Viz[HistogramSummary] = {
-    val vv          = if (v > 0) v else defaultV
     val (m, prepMs) = timed(range(t, col))
     val bk          = NumericBuckets(m.min, m.max, buckets)
-    val rate        = if (sampled) SampleSize.rate(SampleSize.histogram(vv), m.present) else 1.0
+    val rate        = if (sampled) SampleSize.rate(SampleSize.histogram(V), m.present) else 1.0
     progressive(t, HistogramSketch(col, bk, rate), seed, prepMs)
   }
 
   /** Range + (histogram & cdf) in one render tree — operation O5. */
-  def histogramWithCdf(t: CachedTable, col: String, buckets: Int = 100, v: Int = 0,
-                       h: Int = 0, sampled: Boolean = true,
+  def histogramWithCdf(t: CachedTable, col: String, buckets: Int = 100, sampled: Boolean = true,
                        seed: Long = 1): Viz[(HistogramSummary, HistogramSummary)] = {
-    val vv          = if (v > 0) v else defaultV
-    val hh          = if (h > 0) h else defaultH
     val (m, prepMs) = timed(range(t, col))
-    val histRate    = if (sampled) SampleSize.rate(SampleSize.histogram(vv), m.present) else 1.0
-    val cdfRate     = if (sampled) SampleSize.rate(SampleSize.cdf(vv), m.present) else 1.0
+    val histRate    = if (sampled) SampleSize.rate(SampleSize.histogram(V), m.present) else 1.0
+    val cdfRate     = if (sampled) SampleSize.rate(SampleSize.cdf(V), m.present) else 1.0
     val hist        = HistogramSketch(col, NumericBuckets(m.min, m.max, buckets), histRate)
-    val sk          = ZipSketch(hist, CdfSketch(col, m.min, m.max, hh, cdfRate))
+    val sk          = ZipSketch(hist, CdfSketch(col, m.min, m.max, H, cdfRate))
     progressive(t, sk, seed, prepMs)
   }
 
@@ -104,18 +107,15 @@ final class Spreadsheet(val cache: ComputationCache, val defaultV: Int = 200,
     * the cached string summary, capped at ~20 colors (§4.3).
     */
   def stackedHistogramWithCdf(t: CachedTable, colX: String, colY: String,
-                              bx: Int = 50, maxColors: Int = 20, v: Int = 0, h: Int = 0,
-                              sampled: Boolean = true,
+                              bx: Int = 50, maxColors: Int = 20, sampled: Boolean = true,
                               seed: Long = 1): Viz[(StackedHistogramSummary, HistogramSummary)] = {
-    val vv           = if (v > 0) v else defaultV
-    val hh           = if (h > 0) h else defaultH
     val (mx, p1)     = timed(range(t, colX))
     val (sy, p2)     = timed(stringRange(t, colY))
     val yBuckets     = StringBucketsSketch.toBuckets(sy, maxColors)
-    val rate         = if (sampled) SampleSize.rate(SampleSize.stackedHistogram(vv), mx.present) else 1.0
-    val cdfRate      = if (sampled) SampleSize.rate(SampleSize.cdf(vv), mx.present) else 1.0
+    val rate         = if (sampled) SampleSize.rate(SampleSize.stackedHistogram(V), mx.present) else 1.0
+    val cdfRate      = if (sampled) SampleSize.rate(SampleSize.cdf(V), mx.present) else 1.0
     val stacked      = StackedHistogramSketch(colX, NumericBuckets(mx.min, mx.max, bx), colY, yBuckets, rate)
-    val sk           = ZipSketch(stacked, CdfSketch(colX, mx.min, mx.max, hh, cdfRate))
+    val sk           = ZipSketch(stacked, CdfSketch(colX, mx.min, mx.max, H, cdfRate))
     progressive(t, sk, seed, p1 + p2)
   }
 
@@ -123,15 +123,14 @@ final class Spreadsheet(val cache: ComputationCache, val defaultV: Int = 200,
     * is quadratic in the bin count, so the implied rate usually saturates
     * to a full scan (the paper's O11 likewise moves the most data).
     */
-  def heatmap(t: CachedTable, colX: String, colY: String, bins: Int = 0,
+  def heatmap(t: CachedTable, colX: String, colY: String, bins: Int = HeatBins,
               colors: Int = 20, seed: Long = 1): Viz[HeatmapSummary] = {
-    val b        = if (bins > 0) bins else heatBins
     val (mx, p1) = timed(range(t, colX))
     val (my, p2) = timed(range(t, colY))
-    val pMax     = 1.0 / (b * 4.0) // optimistic density guess; capped below anyway
+    val pMax     = 1.0 / (bins * 4.0) // optimistic density guess; capped below anyway
     val rate     = SampleSize.rate(SampleSize.heatmap(colors, pMax), mx.present)
-    val sk = HeatmapSketch(colX, NumericBuckets(mx.min, mx.max, b),
-      colY, NumericBuckets(my.min, my.max, b), rate)
+    val sk = HeatmapSketch(colX, NumericBuckets(mx.min, mx.max, bins),
+      colY, NumericBuckets(my.min, my.max, bins), rate)
     progressive(t, sk, seed, p1 + p2)
   }
 
@@ -165,11 +164,10 @@ final class Spreadsheet(val cache: ComputationCache, val defaultV: Int = 200,
     * and the "moving scrollbar" row of Fig. 14.
     */
   def quantileThenNext(t: CachedTable, sortCols: Seq[SortCol], q: Double,
-                       k: Int = 20, v: Int = 0, seed: Long = 1): Viz[NextItemsSummary] = {
-    val vv = if (v > 0) v else defaultScrollV
+                       k: Int = 20, seed: Long = 1): Viz[NextItemsSummary] = {
     // Practical target n = V² (App. C.1: "requires sample complexity
     // O(V²) for constant probability of success").
-    val n   = math.min(vv.toLong * vv, 100000L).toInt
+    val n   = math.min(defaultScrollV.toLong * defaultScrollV, 100000L).toInt
     // Leaves see a Bernoulli sample of ~n rows in all, oversampled by six
     // standard deviations so the merged bottom-n is almost surely full.
     val rate = SampleSize.rate(n + math.ceil(6 * math.sqrt(n.toDouble)).toLong, t.numRows)

@@ -3,8 +3,10 @@ package repro.storage
 import scala.reflect.ClassTag
 import org.apache.spark.{Partition, TaskContext}
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession, functions}
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.types._
+import org.apache.spark.unsafe.types.UTF8String
 import org.apache.spark.storage.StorageLevel
 
 /** Serializable row predicate for filtering (§5.6 "selection"). A SAM
@@ -16,7 +18,8 @@ trait RowPred extends Serializable { def apply(b: ColumnarBlock, i: Int): Boolea
 trait RowFn extends Serializable { def apply(b: ColumnarBlock, i: Int): Double }
 
 /** A table cached in columnar form across the cluster: an
-  * `RDD[ColumnarBlock]` where each block is a micropartition (§5.3).
+  * `RDD[ColumnarBlock]` with at most one block per partition, so a
+  * partition is a micropartition (§5.3) and a leaf of the execution tree.
   * Derived tables (filter / derived column) share the physical column
   * arrays and differ only in membership / added columns (§5.6).
   *
@@ -123,120 +126,151 @@ private final case class DeriveBlocks(name: String, fn: RowFn) extends Partition
     it.map(b => b.withDerived(name, (blk, i) => fn(blk, i)))
 }
 
-object ColumnStore {
+/** The partition function of `ColumnStore.fromDataFrame`: a partition's
+  * rows as its one block; an empty partition has none.
+  */
+private final case class BuildBlock(schema: StructType) extends PartitionFn[InternalRow, ColumnarBlock] {
+  def apply(pid: Int, rows: Iterator[InternalRow]): Iterator[ColumnarBlock] =
+    if (rows.hasNext) Iterator.single(ColumnStore.buildBlock(rows, schema)) else Iterator.empty
+}
 
-  /** Rows per micropartition. The paper uses 10–20M rows per worker
-    * micropartition at cluster scale; scaled to one node we default to
-    * 256k so a 16-core machine gets well-fed execution trees.
-    */
-  val DefaultBlockRows = 262144
+object ColumnStore {
 
   /** Ingest a DataFrame into the columnar cache. No repartitioning, no
     * indexes — Hillview "reads data repositories without pre-processing"
-    * (§5.4); we convert each Spark partition's rows into blocks as-is.
+    * (§5.4): each Spark partition becomes one block, so a partition is a
+    * micropartition and a leaf of the execution tree (§5.3). Its rows are
+    * read as Catalyst rows straight from the query plan
+    * (`queryExecution.toRdd`), never converted to `Row` objects.
     *
     * With `cache`, the block RDD is local-checkpointed (memory-and-disk
     * level): once a blocking job (`warm()`) has materialized it, its
     * lineage — the DataFrame's SQL plan and codegen stages — is cut, and
     * every later task ships a pointer to the cached blocks instead. The
     * asynchronous job `ExecutionTree` runs does not cut it, so warm a
-    * table before running sketches on it. Lost
-    * blocks are not recomputed; the redo log rebuilds the table (§5.7).
+    * table before running sketches on it. Lost blocks are not recomputed;
+    * the redo log rebuilds the table (§5.7).
     * Without `cache` the lineage stays, and every job re-reads the source.
     */
-  def fromDataFrame(id: String, df: DataFrame, blockRows: Int = DefaultBlockRows,
-                    cache: Boolean = true): CachedTable = {
-    val schema = df.schema
-    val rdd = df.rdd.mapPartitions(rows => blockify(rows, schema, blockRows))
-    new CachedTable(id, if (cache) rdd.localCheckpoint() else rdd, schema.fieldNames.toSeq)
+  def fromDataFrame(id: String, df: DataFrame, cache: Boolean = true): CachedTable = {
+    val rdd = new PartitionMap(df.queryExecution.toRdd, BuildBlock(df.schema))
+    new CachedTable(id, if (cache) rdd.localCheckpoint() else rdd, df.schema.fieldNames.toSeq)
   }
 
   /** Cold-read path (paper Fig. 6): blocks built straight from a columnar
     * file on disk, not cached, so every query pays the read.
     */
-  def fromParquet(id: String, spark: SparkSession, path: String, cols: Seq[String],
-                  blockRows: Int = DefaultBlockRows): CachedTable = {
-    val df     = spark.read.parquet(path).select(cols.map(org.apache.spark.sql.functions.col): _*)
-    val schema = df.schema
-    new CachedTable(id, df.rdd.mapPartitions(rows => blockify(rows, schema, blockRows)),
-      schema.fieldNames.toSeq)
+  def fromParquet(id: String, spark: SparkSession, path: String, cols: Seq[String]): CachedTable =
+    fromDataFrame(id, spark.read.parquet(path).select(cols.map(functions.col): _*), cache = false)
+
+  /** One block from Catalyst rows in one row-major pass: each column
+    * appends its cells to a primitive buffer (`ColumnBuilder`), then packs
+    * them as `PackedInts` and `PackedDoubles` choose for the block.
+    */
+  def buildBlock(rows: Iterator[InternalRow], schema: StructType): ColumnarBlock = {
+    val builders = schema.fields.zipWithIndex.map { case (f, ord) => builder(f, ord) }
+    var n = 0
+    while (rows.hasNext) {
+      val r = rows.next()
+      var c = 0
+      while (c < builders.length) { builders(c).add(r, n); c += 1 }
+      n += 1
+    }
+    val wide = new Array[Long](n) // every column packs through it
+    ColumnarBlock(schema.fieldNames.zip(builders.map(_.result(n, wide))).toMap, n, MembershipSet.full(n))
   }
 
-  private def blockify(rows: Iterator[Row], schema: StructType, blockRows: Int): Iterator[ColumnarBlock] =
-    rows.grouped(blockRows).map(chunk => buildBlock(chunk, schema))
+  private def builder(f: StructField, ord: Int): ColumnBuilder = f.dataType match {
+    case t @ (DoubleType | FloatType | _: DecimalType)                      => new DoubleCells(ord, t)
+    case t @ (ByteType | ShortType | IntegerType | BooleanType | DateType) => new IntCells(ord, t)
+    case LongType                                                           => new LongCells(ord)
+    case StringType                                                         => new StringCells(ord)
+    case other => throw new IllegalArgumentException(s"unsupported column type for ${f.name}: $other")
+  }
+}
 
-  /** Convert a chunk of Spark rows into primitive column arrays, choosing
-    * the column representation and each cell's getter by Catalyst type:
-    * dictionary-encoded strings, integers and epoch-day dates packed to
-    * the narrowest width their range in the block needs (`PackedInts`;
-    * dictionary codes likewise), and doubles scaled to packed integers
-    * where the block's values are decimals of a narrow span, as they are
-    * otherwise (`PackedDoubles`).
-    */
-  def buildBlock(chunk: Seq[Row], schema: StructType): ColumnarBlock = {
-    val n = chunk.size
-    // Integers, dates, codes and scaled doubles are packed from `wide`.
-    val wide = new Array[Long](n)
-    val cols = schema.fields.zipWithIndex.map { case (f, fi) =>
-      val t  = f.dataType
-      val it = chunk.iterator
-      var i  = 0
-      t match {
-        case DoubleType | FloatType | _: DecimalType =>
-          val a = new Array[Double](n)
-          while (it.hasNext) {
-            val r = it.next()
-            a(i) = if (r.isNullAt(fi)) Double.NaN else t match {
-              case DoubleType => r.getDouble(fi)
-              case FloatType  => r.getFloat(fi).toDouble
-              case _          => r.getDecimal(fi).doubleValue
-            }
-            i += 1
-          }
-          f.name -> DoubleColumn(PackedDoubles(a, wide))
+/** One column of a block being built: `add` appends a row's cell, read
+  * with its Catalyst type's getter while the row is current (Spark reuses
+  * rows and their string buffers), to a primitive buffer that doubles as
+  * it fills; `result` encodes the first `n` cells, packing through `wide`.
+  * A packed column keeps its missing cells in a bitset sized for the block.
+  */
+private sealed abstract class ColumnBuilder {
+  protected final val InitialRows = 1024
+  private[this] var missingSet: java.util.BitSet = null
+  protected final def missing(i: Int): Unit = {
+    if (missingSet == null) missingSet = new java.util.BitSet()
+    missingSet.set(i)
+  }
+  protected final def nulls(n: Int): java.util.BitSet =
+    if (missingSet == null) null else { val b = new java.util.BitSet(n); b.or(missingSet); b }
 
-        case StringType =>
-          val dict = new java.util.LinkedHashMap[String, Integer]()
-          while (it.hasNext) {
-            val r = it.next()
-            wide(i) =
-              if (r.isNullAt(fi)) -1L
-              else {
-                val s = r.getString(fi)
-                var c = dict.get(s)
-                if (c == null) { c = dict.size; dict.put(s, c) }
-                c.longValue
-              }
-            i += 1
-          }
-          val d = new Array[String](dict.size)
-          dict.forEach((s, c) => d(c) = s)
-          f.name -> StringColumn(d, PackedInts.pack(wide, n, null))
+  def add(r: InternalRow, i: Int): Unit
+  def result(n: Int, wide: Array[Long]): Column
+}
 
-        case ByteType | ShortType | IntegerType | LongType | BooleanType | DateType =>
-          var nulls: java.util.BitSet = null
-          while (it.hasNext) {
-            val r = it.next()
-            if (r.isNullAt(fi)) {
-              if (nulls == null) nulls = new java.util.BitSet(n)
-              nulls.set(i)
-            } else wide(i) = t match {
-              case IntegerType => r.getInt(fi).toLong
-              case LongType    => r.getLong(fi)
-              case ShortType   => r.getShort(fi).toLong
-              case ByteType    => r.getByte(fi).toLong
-              case BooleanType => if (r.getBoolean(fi)) 1L else 0L
-              case _           => r.getDate(fi).toLocalDate.toEpochDay
-            }
-            i += 1
-          }
-          val values = PackedInts.pack(wide, n, nulls)
-          f.name -> (if (t == DateType) DateColumn(values, nulls) else LongColumn(values, nulls))
-
-        case other =>
-          throw new IllegalArgumentException(s"unsupported column type for ${f.name}: $other")
-      }
+/** Doubles, floats and decimals (as `BigDecimal.doubleValue` converts
+  * them); a missing cell is NaN.
+  */
+private final class DoubleCells(ord: Int, t: DataType) extends ColumnBuilder {
+  private[this] var a = new Array[Double](InitialRows)
+  def add(r: InternalRow, i: Int): Unit = {
+    if (i == a.length) a = java.util.Arrays.copyOf(a, 2 * i)
+    a(i) = if (r.isNullAt(ord)) Double.NaN else t match {
+      case DoubleType     => r.getDouble(ord)
+      case FloatType      => r.getFloat(ord).toDouble
+      case d: DecimalType => r.getDecimal(ord, d.precision, d.scale).toJavaBigDecimal.doubleValue
     }
-    ColumnarBlock(cols.toMap, n, MembershipSet.full(n))
+  }
+  def result(n: Int, wide: Array[Long]): Column = DoubleColumn(PackedDoubles(java.util.Arrays.copyOf(a, n), wide))
+}
+
+private final class LongCells(ord: Int) extends ColumnBuilder {
+  private[this] var a = new Array[Long](InitialRows)
+  def add(r: InternalRow, i: Int): Unit = {
+    if (i == a.length) a = java.util.Arrays.copyOf(a, 2 * i)
+    if (r.isNullAt(ord)) missing(i) else a(i) = r.getLong(ord)
+  }
+  def result(n: Int, wide: Array[Long]): Column = { val m = nulls(n); LongColumn(PackedInts.pack(a, n, m), m) }
+}
+
+/** Ints, shorts, bytes, booleans (1 or 0) and dates (Catalyst's epoch days). */
+private final class IntCells(ord: Int, t: DataType) extends ColumnBuilder {
+  private[this] var a = new Array[Int](InitialRows)
+  def add(r: InternalRow, i: Int): Unit = {
+    if (i == a.length) a = java.util.Arrays.copyOf(a, 2 * i)
+    if (r.isNullAt(ord)) missing(i) else a(i) = t match {
+      case IntegerType | DateType => r.getInt(ord)
+      case ShortType              => r.getShort(ord)
+      case ByteType               => r.getByte(ord)
+      case _                      => if (r.getBoolean(ord)) 1 else 0
+    }
+  }
+  def result(n: Int, wide: Array[Long]): Column = {
+    (0 until n).foreach(i => wide(i) = a(i))
+    val m = nulls(n)
+    val v = PackedInts.pack(wide, n, m)
+    if (t == DateType) DateColumn(v, m) else LongColumn(v, m)
+  }
+}
+
+/** Strings by a first-seen dictionary, copying a string only when it
+  * becomes a new entry; a missing cell is code -1.
+  */
+private final class StringCells(ord: Int) extends ColumnBuilder {
+  private[this] var codes = new Array[Int](InitialRows)
+  private[this] val dict  = new java.util.HashMap[UTF8String, Integer]()
+  def add(r: InternalRow, i: Int): Unit = {
+    if (i == codes.length) codes = java.util.Arrays.copyOf(codes, 2 * i)
+    codes(i) = if (r.isNullAt(ord)) -1 else {
+      val c = dict.get(r.getUTF8String(ord))
+      if (c != null) c.intValue else { val k = dict.size; dict.put(r.getUTF8String(ord).copy(), k); k }
+    }
+  }
+  def result(n: Int, wide: Array[Long]): Column = {
+    (0 until n).foreach(i => wide(i) = codes(i))
+    val d = new Array[String](dict.size)
+    dict.forEach((s, c) => d(c) = s.toString)
+    StringColumn(d, PackedInts.pack(wide, n, null))
   }
 }

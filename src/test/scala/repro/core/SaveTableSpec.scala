@@ -7,7 +7,7 @@ import repro.storage.{ColumnStore, ColumnarBlock, RowPred}
 class SaveTableSpec extends SparkSpec {
 
   private lazy val li    = SynthData.lineitem(spark, sf = 0.001, seed = 4).cache()
-  private lazy val table = ColumnStore.fromDataFrame("li-save", li, blockRows = 2000).warm()
+  private lazy val table = ColumnStore.fromDataFrame("li-save", li.repartition(3)).warm()
 
   test("distributed save writes every member row, one file per leaf block") {
     val dir = java.nio.file.Files.createTempDirectory("repro-save").toString

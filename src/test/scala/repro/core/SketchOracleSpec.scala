@@ -12,7 +12,7 @@ import repro.storage.ColumnStore
 class SketchOracleSpec extends SparkSpec {
 
   private lazy val li    = SynthData.lineitem(spark, sf = 0.002, seed = 3).cache()
-  private lazy val table = ColumnStore.fromDataFrame("li-oracle", li, blockRows = 3000).warm()
+  private lazy val table = ColumnStore.fromDataFrame("li-oracle", li.repartition(4)).warm()
 
   private def toDf(pairs: Seq[(Int, Long)], cols: (String, String)) = {
     import spark.implicits._

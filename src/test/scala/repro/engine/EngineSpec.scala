@@ -1,7 +1,7 @@
 package repro.engine
 
 import repro.{SparkSpec, SynthData}
-import repro.core.{MomentsSketch, NumericBuckets, SampledHistogramSketch}
+import repro.core.{MomentsSketch, NumericBuckets, QuantileSketch, SampledHistogramSketch, SortCol}
 import repro.storage.{CachedTable, ColumnStore, ColumnarBlock, RowFn, RowPred}
 
 class EngineSpec extends SparkSpec {
@@ -11,7 +11,7 @@ class EngineSpec extends SparkSpec {
     val e = new Engine(spark)
     e.registerBuilder("lineitem") { params =>
       val sf = params.getOrElse("sf", "0.002").toDouble
-      ColumnStore.fromDataFrame("src", SynthData.lineitem(spark, sf, seed = 1), blockRows = 5000)
+      ColumnStore.fromDataFrame("src", SynthData.lineitem(spark, sf, seed = 1).repartition(3))
     }
     e.registerPredicate("qtyAbove") { params =>
       val threshold = params("t").toDouble
@@ -124,6 +124,36 @@ class EngineSpec extends SparkSpec {
       assert(math.abs(x - y) <= 1e-12 * math.abs(y), s"$x vs $y")
     }
     assert(e.log.entries.size == 3)
+  }
+
+  test("a replayed source and its filtered table give the same seeded sampled histogram and quantile") {
+    val e     = newEngine()
+    val t     = e.load("li", "lineitem", Map("sf" -> "0.002"))
+    val f     = e.filter(t, "big", "qtyAbove", Map("t" -> "40"))
+    val hist  = SampledHistogramSketch("l_quantity", NumericBuckets(0, 60, 20), 0.2)
+    val quant = QuantileSketch(Seq(SortCol("l_extendedprice")), 300, rate = 0.2)
+    def results(x: CachedTable) = {
+      val h = ExecutionTree.run(x, hist, seed = 9)
+      (h.counts.toSeq, h.sampled, ExecutionTree.run(x, quant, seed = 9))
+    }
+    val before = Seq(t, f).map(results)
+    e.dropAllSoftState()
+    val replayed = Seq(t.id, f.id).map(e.table)
+    assert(replayed.zip(Seq(t, f)).forall { case (a, b) => !(a eq b) })
+    assert(replayed.map(results) == before)
+  }
+
+  test("a filter label containing |filter: replays to the same id and rows") {
+    val e    = newEngine()
+    val t    = e.load("li", "lineitem", Map("sf" -> "0.002"))
+    val f    = e.filter(t, "q|filter:big", "qtyAbove", Map("t" -> "40"))
+    val rows = f.numRows
+    assert(f.id == "li|filter:q|filter:big" && rows > 0)
+    e.dropAllSoftState()
+    val replayed = e.table(f.id)
+    assert(!(replayed eq f))
+    assert(replayed.id == f.id && replayed.numRows == rows)
+    assert(e.log.entries.size == 2)
   }
 
   test("a sketch on a dropped table object fails instead of recomputing or hanging") {

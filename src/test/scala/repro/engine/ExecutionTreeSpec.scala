@@ -11,7 +11,7 @@ class ExecutionTreeSpec extends SparkSpec {
 
   private lazy val table = {
     val df = SynthData.uniformKeys(spark, 200000, 1000).repartition(16)
-    ColumnStore.fromDataFrame("uk", df, blockRows = 5000).warm()
+    ColumnStore.fromDataFrame("uk", df).warm()
   }
   private val buckets = NumericBuckets(1, 1001, 50)
 
@@ -77,7 +77,7 @@ class ExecutionTreeSpec extends SparkSpec {
     // while work is still queued and cancellation has something to drop.
     val slowTable = {
       val df = SynthData.uniformKeys(spark, 64000, 100).repartition(64)
-      ColumnStore.fromDataFrame("uk-slow", df, blockRows = 1000).warm()
+      ColumnStore.fromDataFrame("uk-slow", df).warm()
     }
     val prog = ExecutionTree.runProgressive(slowTable, SlowMoments("k"),
       aggregationIntervalMs = 50,
@@ -92,7 +92,7 @@ class ExecutionTreeSpec extends SparkSpec {
     import spark.implicits._
     val stallMs = 4000L
     val fourLeaves = ColumnStore.fromDataFrame("uk-stalled",
-      spark.range(0, 4000, 1, 4).map(_.toDouble).toDF("k"), blockRows = 1000).warm()
+      spark.range(0, 4000, 1, 4).map(_.toDouble).toDF("k")).warm()
     try {
       assert(fourLeaves.numLeaves == 4)
       val t0   = System.nanoTime()
@@ -139,23 +139,22 @@ class ExecutionTreeSpec extends SparkSpec {
   }
 
   test("LocalWorker, run and runProgressive draw the same samples on a table with one block per partition") {
-    val onePerPart = ColumnStore.fromDataFrame("uk-one-block-per-partition",
-      SynthData.uniformKeys(spark, 80000, 1000).repartition(8), blockRows = 80000).warm()
-    try {
-      assert(onePerPart.blocks.glom().map(_.length).collect().toSeq == Seq.fill(8)(1))
-      val blocks = onePerPart.blocks.collect().toIndexedSeq
-      def allRoutes[S: scala.reflect.ClassTag](sk: Sketch[S]): Seq[S] = Seq(
-        LocalWorker.run(blocks, sk, 1, seed = 5),
-        LocalWorker.run(blocks, sk, 4, seed = 5),
-        ExecutionTree.run(onePerPart, sk, seed = 5),
-        ExecutionTree.runProgressive(onePerPart, sk, seed = 5, aggregationIntervalMs = 1).finalValue)
-      val hists = allRoutes(SampledHistogramSketch("k", buckets, 0.1))
-      assert(hists.map(_.counts.toSeq).distinct.size == 1, hists.map(_.counts.sum))
-      assert(hists.map(h => (h.outOfRange, h.missing, h.sampled)).distinct.size == 1)
-      val quantiles = allRoutes(QuantileSketch(Seq(SortCol("k", ascending = false)), 500, rate = 0.02))
-      assert(quantiles.head.size == 500)
-      assert(quantiles.distinct.size == 1)
-    } finally onePerPart.drop()
+    // Every table from `fromDataFrame` has one block per partition, so
+    // block i of the collected blocks is partition i's.
+    assert(table.numLeaves == 16)
+    assert(table.blocks.glom().map(_.length).collect().toSeq == Seq.fill(16)(1))
+    val blocks = table.blocks.collect().toIndexedSeq
+    def allRoutes[S: scala.reflect.ClassTag](sk: Sketch[S]): Seq[S] = Seq(
+      LocalWorker.run(blocks, sk, 1, seed = 5),
+      LocalWorker.run(blocks, sk, 4, seed = 5),
+      ExecutionTree.run(table, sk, seed = 5),
+      ExecutionTree.runProgressive(table, sk, seed = 5, aggregationIntervalMs = 1).finalValue)
+    val hists = allRoutes(SampledHistogramSketch("k", buckets, 0.1))
+    assert(hists.map(_.counts.toSeq).distinct.size == 1, hists.map(_.counts.sum))
+    assert(hists.map(h => (h.outOfRange, h.missing, h.sampled)).distinct.size == 1)
+    val quantiles = allRoutes(QuantileSketch(Seq(SortCol("k", ascending = false)), 500, rate = 0.02))
+    assert(quantiles.head.size == 500)
+    assert(quantiles.distinct.size == 1)
   }
 
   test("a throwing leaf fails the progressive call promptly instead of hanging") {
@@ -218,14 +217,14 @@ class ExecutionTreeSpec extends SparkSpec {
     val sk   = MomentsSketch("k")
     val leaf = ExecutionTree.leafSummaries(t, sk, 0L)
     leaf.dependencies
-    SparkEnv.get.closureSerializer.newInstance().serialize((leaf, MergeAll(sk))).limit()
+    SparkEnv.get.closureSerializer.newInstance().serialize((leaf, LeafResult[MomentsSummary]())).limit()
   }
 
   /** A table built from `df`, one filtered from it, and one derived from
     * that, each warmed.
     */
   private def chain(name: String, df: DataFrame): Seq[CachedTable] = {
-    val t = ColumnStore.fromDataFrame(name, df, blockRows = 5000).warm()
+    val t = ColumnStore.fromDataFrame(name, df).warm()
     val f = t.filter("odd", OddKey).warm()
     Seq(t, f, f.derive("w", KeyPlusV).warm())
   }
@@ -350,12 +349,17 @@ class LocalWorkerSpec extends org.scalatest.funsuite.AnyFunSuite {
   }
 
   test("LeafFold gives partition 21,475 a positive block id distinct from partition 0's") {
-    val blocks = splitBlocks(values.take(30), 3)
-    def ids(pid: Int) = LeafFold(BlockIds(), 0L)(pid, blocks.iterator).next()
-    assert(ids(0) == Vector(0L, 1L, 2L))
-    assert(ids(21474) == Vector(2147400000L, 2147400001L, 2147400002L)) // below the old overflow: unchanged
-    assert(ids(21475).forall(_ > 0) && ids(21475) != ids(0))
-    assert(ids(21475) == Vector(2147500000L, 2147500001L, 2147500002L))
+    val block = splitBlocks(values.take(30), 1).head
+    def ids(pid: Int) = LeafFold(BlockIds(), 0L)(pid, Iterator.single(block)).next()
+    assert(ids(0) == Vector(0L))
+    assert(ids(21475) == Vector(21475L))
+    assert(ids(Int.MaxValue) == Vector(Int.MaxValue.toLong))
+  }
+
+  test("LeafFold gives an empty partition the zero summary and rejects a second block") {
+    val blocks = splitBlocks(values.take(30), 2)
+    assert(LeafFold(BlockIds(), 0L)(3, Iterator.empty).next() == Vector.empty)
+    intercept[IllegalArgumentException](LeafFold(BlockIds(), 0L)(3, blocks.iterator).next())
   }
 
   test("rejects zero threads") {

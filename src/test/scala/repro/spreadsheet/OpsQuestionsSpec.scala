@@ -7,7 +7,7 @@ import repro.harness.Datasets
 class OpsSpec extends SparkSpec {
 
   private lazy val table = repro.storage.ColumnStore
-    .fromDataFrame("flights-ops", Datasets.flightsDf(spark, 120000), blockRows = 10000).warm()
+    .fromDataFrame("flights-ops", Datasets.flightsDf(spark, 120000).repartition(12)).warm()
   private def sheet = new Spreadsheet(new ComputationCache())
 
   private def run(op: String): Ops.OpResult = {
@@ -58,7 +58,7 @@ class OpsSpec extends SparkSpec {
 class QuestionsSpec extends SparkSpec {
 
   private lazy val table = repro.storage.ColumnStore
-    .fromDataFrame("flights-q", Datasets.flightsDf(spark, 200000), blockRows = 10000).warm()
+    .fromDataFrame("flights-q", Datasets.flightsDf(spark, 200000).repartition(20)).warm()
   private lazy val sheet = new Spreadsheet(new ComputationCache())
 
   private lazy val answers: Map[String, Questions.Answer] =

@@ -11,7 +11,7 @@ class SpreadsheetSpec extends SparkSpec {
 
   private lazy val df    = Datasets.flightsDf(spark, 150000).cache()
   private lazy val table: CachedTable =
-    repro.storage.ColumnStore.fromDataFrame("flights-spec", df, blockRows = 10000).warm()
+    repro.storage.ColumnStore.fromDataFrame("flights-spec", df.repartition(15)).warm()
   private def sheet = new Spreadsheet(new ComputationCache())
 
   test("range is cached: second call does not recompute") {
@@ -27,7 +27,7 @@ class SpreadsheetSpec extends SparkSpec {
   test("a table reloaded under the same id with other rows gets a fresh range") {
     val s = sheet
     def load(rows: Long) =
-      repro.storage.ColumnStore.fromDataFrame("reloaded", spark.range(rows).toDF("x"), blockRows = 1000).warm()
+      repro.storage.ColumnStore.fromDataFrame("reloaded", spark.range(rows).toDF("x")).warm()
     val first  = load(100)
     val second = load(300)
     assert(s.range(first, "x").max == 99.0)

@@ -1,6 +1,8 @@
 package repro.storage
 
 import org.apache.spark.sql.Row
+import org.apache.spark.sql.catalyst.{CatalystTypeConverters, InternalRow}
+import org.apache.spark.sql.catalyst.expressions.UnsafeProjection
 import org.apache.spark.sql.types._
 import org.apache.spark.util.SizeEstimator
 import org.scalacheck.{Gen, Prop}
@@ -370,6 +372,15 @@ class ColumnSpec extends AnyFunSuite {
     assert(holds(s, scaled, rng) && holds(r, raw, rng))
   }
 
+  /** `rows` as a query plan yields them: one `UnsafeRow` object, reused
+    * for every row.
+    */
+  private def catalystRows(rows: Seq[Row], schema: StructType): Iterator[InternalRow] = {
+    val toCatalyst = CatalystTypeConverters.createToCatalystConverter(schema)
+    val unsafe     = UnsafeProjection.create(schema)
+    rows.iterator.map(r => unsafe(toCatalyst(r).asInstanceOf[InternalRow]))
+  }
+
   test("buildBlock scales Double, Float and Decimal cells that are decimals of a narrow span and keeps the others raw") {
     val schema = StructType(Seq(
       StructField("x", DoubleType), StructField("f", FloatType), StructField("m", DecimalType(12, 3)),
@@ -380,7 +391,7 @@ class ColumnSpec extends AnyFunSuite {
       Row(-0.7, -0.5f, new java.math.BigDecimal("-0.005"), 1.0, 2.0f, -1000.5),
       Row(4.0, 0.0f, new java.math.BigDecimal("0"), -2.0, 3.0f, 0.0))
     val copies = 400 // enough rows for each scaled column's decode table
-    val b = ColumnStore.buildBlock(Seq.fill(copies)(rows).flatten, schema)
+    val b = ColumnStore.buildBlock(catalystRows(Seq.fill(copies)(rows).flatten, schema), schema)
     def col(name: String) = b.column(name).asInstanceOf[DoubleColumn]
     val want = Map(
       "x"     -> Seq(1.3, Double.NaN, -0.7, 4.0),
@@ -409,7 +420,7 @@ class ColumnSpec extends AnyFunSuite {
       Row(null, null, null, null, null, null, null, null, null, null),
       Row(-2.toByte, 0.toShort, 70000, Long.MinValue, false, java.sql.Date.valueOf("1970-01-02"), -1.5f, -2.5,
         new java.math.BigDecimal("-3.25"), "b"))
-    val b = ColumnStore.buildBlock(rows, schema)
+    val b = ColumnStore.buildBlock(catalystRows(rows, schema), schema)
     def cells(name: String) = (0 until 3).map(i => b.column(name).asString(i))
     assert(cells("b") == Seq("1", null, "-2"))
     assert(cells("sh") == Seq("300", null, "0"))

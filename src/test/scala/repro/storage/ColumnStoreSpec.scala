@@ -25,8 +25,9 @@ class ColumnStoreSpec extends SparkSpec {
   }
 
   test("micropartitioning bounds block sizes") {
-    val t = ColumnStore.fromDataFrame("li3", li, blockRows = 1000, cache = false)
+    val t = ColumnStore.fromDataFrame("li3", li.repartition(12), cache = false)
     val sizes = t.blocks.map(_.numRows).collect()
+    assert(sizes.length == 12)
     assert(sizes.forall(_ <= 1000))
     assert(sizes.sum == li.count())
   }
@@ -77,6 +78,47 @@ class ColumnStoreSpec extends SparkSpec {
     val exact = li.agg(sum(col("l_extendedprice") * (lit(1.0) - col("l_discount")))).head.getDouble(0)
     assert(math.abs(m.sum - exact) < 1e-6 * math.abs(exact))
     d.drop(); t.drop()
+  }
+
+  test("each non-empty partition is one block, in source, filtered and derived tables") {
+    // The range's partitions 4–7 hold ids ≥ 500 and are filtered out.
+    val df = spark.range(0, 1000, 1, 8).filter(col("id") < 500).select(col("id").cast("double") as "x")
+    val nonEmpty = df.rdd.mapPartitions(it => Iterator.single(if (it.hasNext) 1 else 0)).collect().toSeq
+    assert(nonEmpty == Seq(1, 1, 1, 1, 0, 0, 0, 0))
+    val t = ColumnStore.fromDataFrame("parts", df).warm()
+    val f = t.filter("odd", new RowPred {
+      def apply(b: ColumnarBlock, i: Int): Boolean = b.column("x").asDouble(i) % 2 == 1
+    }).warm()
+    val d = f.derive("y", new RowFn {
+      def apply(b: ColumnarBlock, i: Int): Double = -b.column("x").asDouble(i)
+    }).warm()
+    val rows = Seq(df.count(), df.filter(col("x") % 2 === 1).count())
+    assert(Seq(t, f, d).map(_.numRows) == Seq(rows(0), rows(1), rows(1)))
+    for (x <- Seq(t, f, d)) {
+      assert(x.blocks.glom().map(_.length).collect().toSeq == nonEmpty, x.id)
+      assert(x.blocks.map(_.rowCount.toLong).collect().sum == x.numRows, x.id)
+    }
+    assert(t.blocks.map(_.numRows.toLong).collect().sum == rows(0))
+    d.drop(); f.drop(); t.drop()
+  }
+
+  test("strings survive the reuse of Catalyst rows: every cell, and each block's dictionary") {
+    // Thousands of distinct strings of varying length over four partitions, some missing.
+    val df = spark.range(0, 20000, 1, 4).select(expr(
+      "case when id % 97 = 0 then null " +
+        "else concat('v', cast(id * 7919 % 5003 as string), repeat('x', cast(id % 13 as int))) end") as "s")
+    val blocks = ColumnStore.fromDataFrame("strings", df, cache = false).blocks.collect().toSeq
+    assert(blocks.length == 4)
+    def cells(b: ColumnarBlock) = (0 until b.numRows).map(b.column("s").asString)
+    assert(blocks.flatMap(cells) == df.collect().toSeq.map(_.getString(0)))
+    val distinct = df.select(spark_partition_id() as "p", col("s")).filter(col("s").isNotNull).distinct()
+      .collect().groupBy(_.getInt(0)).map { case (p, rs) => p -> rs.map(_.getString(1)).toSet }
+    for ((b, p) <- blocks.zipWithIndex) {
+      val dict = b.column("s").asInstanceOf[StringColumn].dict.toSeq
+      assert(dict == cells(b).filter(_ != null).distinct) // first-seen order
+      assert(dict.toSet == distinct(p), s"block $p")
+    }
+    assert(distinct.values.map(_.size).sum > 4 * 1000)
   }
 
   test("fromParquet reads cold data without caching") {
