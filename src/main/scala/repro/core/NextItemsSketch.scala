@@ -1,7 +1,6 @@
 package repro.core
 
-import repro.storage.{Column, ColumnarBlock, RowBatches, StringColumn}
-import scala.jdk.CollectionConverters._
+import repro.storage.{ColumnarBlock, RowBatches, StringColumn}
 
 /** Summary: the K smallest distinct visible tuples strictly after `start`
   * in the sort order, each with its exact repetition count. Rendered
@@ -32,6 +31,7 @@ final case class NextItemsSketch(
 
   def zero = NextItemsSummary(Vector.empty)
 
+  /** The generic scan offers every row to `NextRows`, a batch at a time. */
   def summarize(block: ColumnarBlock, ctx: LeafCtx): NextItemsSummary = {
     val cs = cols.map(block.column).toArray
     // The code path compares strings only, so it takes a start key of one
@@ -39,44 +39,12 @@ final case class NextItemsSketch(
     val stringStart = start.forall(s => s.cells.length == 1 && !s.cells.head.isInstanceOf[NumCell])
     cs match {
       case Array(c: StringColumn) if stringStart => summarizeCodes(block, c)
-      case _                                     => summarizeRows(block, cs)
+      case _ =>
+        val next = new NextRows(cs, sortCols, k, start.orNull)
+        val rb   = block.batches
+        while (rb.next()) next.offerBatch(rb)
+        NextItemsSummary(next.rows)
     }
-  }
-
-  /** Generic scan, a batch at a time. A row whose first-column key lies
-    * strictly outside [lo, hi] is dropped at once: lo is the start key's
-    * first cell, hi the current K-th key's once K keys are held. Every
-    * other row takes one allocation-free comparison with the start and the
-    * K-th key, and a RowKey only if it enters the current top K.
-    */
-  private def summarizeRows(block: ColumnarBlock, cs: Array[Column]): NextItemsSummary = {
-    val heap   = new java.util.TreeMap[RowKey, Long](ord)
-    val signs  = sortCols.map(sc => if (sc.ascending) 1 else -1).toArray
-    val startK = start.orNull
-    val lead   = LeadKeys(cs, sortCols)
-    val keys   = lead.keys
-    val lo     = lead.lo(startK)
-    var hi     = Double.PositiveInfinity
-    val rb     = block.batches
-    while (rb.next()) {
-      lead.load(rb)
-      val rows = rb.rows
-      var j    = 0
-      while (j < rb.size) {
-        val y = keys(j)
-        if (lo <= y && y <= hi) {
-          val i = rows(j)
-          if ((startK == null || RowKey.compareRowTo(cs, i, startK, signs) > 0) &&
-              (heap.size < k || RowKey.compareRowTo(cs, i, heap.lastKey, signs) <= 0)) {
-            heap.merge(RowKey.of(block, cols, i), 1L, (a, b) => a + b)
-            if (heap.size > k) heap.pollLastEntry()
-            if (heap.size == k) hi = lead.hi(heap.lastKey)
-          }
-        }
-        j += 1
-      }
-    }
-    NextItemsSummary(heap.entrySet.asScala.iterator.map(e => (e.getKey, e.getValue.longValue)).toVector)
   }
 
   /** Sort by one dictionary-encoded string column (§5.4): count rows per
@@ -89,7 +57,7 @@ final case class NextItemsSketch(
     val missing = c.dict.length
     val counts  = ValueCounts(c, block.batches).perCode
     def value(slot: Int): String = if (slot == missing) null else c.dict(slot)
-    val sign = if (sortCols.head.ascending) 1 else -1
+    val sign = SortCol.signs(sortCols)(0)
     def cmp(x: String, y: String): Int = sign * KeyCell.compareStrings(x, y)
     // The start key's value; Some(null) when it is the missing value.
     val from = start.map(_.cells.head match { case StrCell(v) => v; case _ => null })
@@ -111,25 +79,9 @@ final case class NextItemsSketch(
     }.toVector)
   }
 
-  def merge(a: NextItemsSummary, b: NextItemsSummary): NextItemsSummary = {
-    // Linear merge of two sorted runs, combining counts on equal keys.
-    val out = Vector.newBuilder[(RowKey, Long)]
-    var i = 0
-    var j = 0
-    var taken = 0
-    while (taken < k && (i < a.rows.length || j < b.rows.length)) {
-      val takeA =
-        j >= b.rows.length ||
-        (i < a.rows.length && ord.compare(a.rows(i)._1, b.rows(j)._1) <= 0)
-      if (takeA && j < b.rows.length && i < a.rows.length &&
-          ord.compare(a.rows(i)._1, b.rows(j)._1) == 0) {
-        out += ((a.rows(i)._1, a.rows(i)._2 + b.rows(j)._2)); i += 1; j += 1
-      } else if (takeA) { out += a.rows(i); i += 1 }
-      else { out += b.rows(j); j += 1 }
-      taken += 1
-    }
-    NextItemsSummary(out.result())
-  }
+  def merge(a: NextItemsSummary, b: NextItemsSummary): NextItemsSummary =
+    NextItemsSummary(SortedRuns.union(a.rows, b.rows, k)(
+      (x, y) => ord.compare(x._1, y._1), (x, y) => (x._1, x._2 + y._2)))
 }
 
 /** Find-text vizketch (App. B.2): the first row matching a search
@@ -175,10 +127,8 @@ final case class FindTextSketch(
   def zero = FindTextSummary(None, 0L)
 
   /** One pass over the block's batches. A string column is matched once
-    * per dictionary entry (§5.4). Every hit is counted; only a hit whose
-    * first-column key lies in [lo, hi] (the start key's and the best
-    * match's first cells, see `LeadKeys`) is compared with the start and
-    * the best match.
+    * per dictionary entry (§5.4). Every hit is counted and offered to a
+    * one-key `NextRows`, whose least key is the first match.
     */
   def summarize(block: ColumnarBlock, ctx: LeafCtx): FindTextSummary = {
     val mc = block.column(col)
@@ -186,17 +136,10 @@ final case class FindTextSketch(
       case c: StringColumn => (c.codes, c.dict.map(matches))
       case _               => (null, null)
     }
-    val codes  = if (packed != null) new Array[Int](RowBatches.Capacity) else null
-    val names  = sortCols.map(_.name)
-    val cs     = names.map(block.column).toArray
-    val signs  = sortCols.map(sc => if (sc.ascending) 1 else -1).toArray
-    val startK = start.orNull
-    val lead   = LeadKeys(cs, sortCols)
-    val lo     = lead.lo(startK)
-    var hi     = Double.PositiveInfinity
-    var best: RowKey = null
-    var n = 0L
-    val rb = block.batches
+    val codes = if (packed != null) new Array[Int](RowBatches.Capacity) else null
+    val best  = new NextRows(sortCols.map(sc => block.column(sc.name)).toArray, sortCols, 1, start.orNull)
+    var n     = 0L
+    val rb    = block.batches
     while (rb.next()) {
       val rows = rb.rows
       if (codes != null) packed.ints(rows, rb.size, codes)
@@ -206,20 +149,11 @@ final case class FindTextSketch(
         val hit =
           if (codes != null) { val code = codes(j); code >= 0 && byCode(code) }
           else matches(mc.asString(i))
-        if (hit) {
-          n += 1
-          val y = lead.key(i)
-          if (lo <= y && y <= hi &&
-              (startK == null || RowKey.compareRowTo(cs, i, startK, signs) > 0) &&
-              (best == null || RowKey.compareRowTo(cs, i, best, signs) < 0)) {
-            best = RowKey.of(block, names, i)
-            hi = lead.hi(best)
-          }
-        }
+        if (hit) { n += 1; best.offer(i) }
         j += 1
       }
     }
-    FindTextSummary(Option(best), n)
+    FindTextSummary(Option(best.first), n)
   }
 
   def merge(a: FindTextSummary, b: FindTextSummary): FindTextSummary = {

@@ -105,8 +105,7 @@ object QuantileSummary {
   * `RowKey.ordering(sortCols)` gives their keys.
   */
 private final class SampleOrder(columns: Array[AnyRef], sortCols: Seq[SortCol]) {
-  private[this] val signs =
-    Array.tabulate(columns.length)(j => if (j < sortCols.length && !sortCols(j).ascending) -1 else 1)
+  private[this] val signs = SortCol.signs(sortCols)
 
   def compare(r1: Int, r2: Int): Int = {
     var j = 0

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.storage.{Column, ColumnarBlock, RowBatches, StringColumn}
+import scala.jdk.CollectionConverters._
 
 /** One cell of a sort key. Numeric columns (ints, doubles, dates) compare
   * numerically; strings lexicographically; missing values sort last —
@@ -43,6 +44,11 @@ object KeyCell {
 /** A column participating in a sort order. */
 final case class SortCol(name: String, ascending: Boolean = true)
 
+object SortCol {
+  /** Each column's direction as a sign: 1 ascending, −1 descending. */
+  def signs(sortCols: Seq[SortCol]): Array[Int] = sortCols.map(sc => if (sc.ascending) 1 else -1).toArray
+}
+
 /** The visible tuple of a row under a column selection: the sort columns'
   * values in order. Duplicate tuples are aggregated with counts in the
   * tabular view (§3.3 "aggregate duplicates and show repetition counts").
@@ -55,40 +61,9 @@ object RowKey {
   def of(block: ColumnarBlock, cols: Seq[String], i: Int): RowKey =
     RowKey(cols.iterator.map(c => KeyCell.of(block.column(c), i)).toVector)
 
-  /** Compare row `i` of the given columns against `key` under the sort
-    * signs WITHOUT materializing a RowKey — the hot reject path of the
-    * next-items and find-text scans, which discard almost every row of a
-    * big table against the current K-th or best key. Agrees in sign with
-    * `ordering` applied to `RowKey.of(block, cols, i)` and `key`.
-    */
-  def compareRowTo(cols: Array[Column], i: Int, key: RowKey,
-                   signs: Array[Int]): Int = {
-    var j = 0
-    while (j < cols.length && j < key.cells.length) {
-      val c = cols(j)
-      val cell = key.cells(j)
-      val cmp =
-        if (c.isMissing(i)) { if (cell eq NullCell) 0 else 1 }
-        else cell match {
-          case NullCell   => -1
-          case NumCell(v) =>
-            val x = c.asDouble(i)
-            if (x.isNaN) 1 else java.lang.Double.compare(x, v) // a string row sorts after numbers
-          case StrCell(s) => c match {
-            case _: StringColumn => c.asString(i).compareTo(s)
-            case _               => -1 // a numeric row sorts before strings
-          }
-        }
-      val signed = cmp * (if (j < signs.length) signs(j) else 1)
-      if (signed != 0) return signed
-      j += 1
-    }
-    cols.length - key.cells.length
-  }
-
   /** Lexicographic ordering honoring each column's direction. */
   def ordering(sortCols: Seq[SortCol]): Ordering[RowKey] = {
-    val signs = sortCols.map(sc => if (sc.ascending) 1 else -1).toArray
+    val signs = SortCol.signs(sortCols)
     (a: RowKey, b: RowKey) => {
       var i = 0
       var cmp = 0
@@ -101,54 +76,99 @@ object RowKey {
   }
 }
 
-/** A block's first sort column as primitive keys, so the next-items and
-  * find-text scans can drop a row whose key lies strictly outside
-  * [lo, hi] without comparing it to a `RowKey`.
+/** The bounded scan of next items and find text: the `k` smallest distinct
+  * keys strictly after `start` (none when null) under `sortCols`, with
+  * their counts, among the rows offered. `cols` are the sort columns.
   *
-  * A row's key is sign × value, with a missing value after every number in
-  * the column's order: +∞ ascending, −∞ descending. Wherever two keys
-  * differ, this agrees with `KeyCell.ordering` × sign on the first column;
-  * values whose keys tie although their cells differ (−0.0 and 0.0, +∞
-  * and a missing value) fall inside the bounds and get the full
-  * comparison. A string column has no primitive key: every key of its
-  * rows is 0 and every bound infinite.
+  * A row is first tested on its lead key, the first column as a primitive:
+  * sign × value, with a missing value after every number in the column's
+  * order (+∞ ascending, −∞ descending). A row whose lead key lies strictly
+  * outside [lo, hi] is dropped at once: lo is the start key's, hi the k-th
+  * key's once k keys are held. Wherever two lead keys differ they agree
+  * with `KeyCell.ordering` × sign; cells whose keys tie although they
+  * differ (−0.0 and 0.0, +∞ and a missing value) fall inside the bounds
+  * and get the full comparison. A string column has no primitive key:
+  * every key of its rows is 0 and every bound infinite. A row inside the
+  * bounds takes one allocation-free comparison with the start and the k-th
+  * key, and a RowKey only if it enters the top k as a new key.
   */
-private[core] final class LeadKeys(c: Column, ascending: Boolean) {
-  private[this] val bounded = c != null && !c.isInstanceOf[StringColumn]
-  private[this] val sign    = if (ascending) 1.0 else -1.0
-  private[this] val missing = if (ascending) Double.PositiveInfinity else Double.NegativeInfinity
+private[core] final class NextRows(cols: Array[Column], sortCols: Seq[SortCol], k: Int, start: RowKey) {
+  private[this] val signs   = SortCol.signs(sortCols)
+  private[this] val lead    = if (cols.nonEmpty && !cols(0).isInstanceOf[StringColumn]) cols(0) else null
+  private[this] val missing = if (lead == null) 0.0 else signs(0) * Double.PositiveInfinity
+  private[this] val keys    = new Array[Double](RowBatches.Capacity)
+  private[this] val top     = new java.util.TreeMap[RowKey, Long](RowKey.ordering(sortCols))
+  private[this] val lo      = bound(start, Double.NegativeInfinity)
+  private[this] var hi      = Double.PositiveInfinity
 
-  /** Keys of the rows of the last `load`ed batch. */
-  val keys: Array[Double] = new Array[Double](RowBatches.Capacity)
-
-  def load(rb: RowBatches): Unit = if (bounded) {
-    c.doubles(rb.rows, rb.size, keys)
-    var k = 0
-    while (k < rb.size) { keys(k) = keyOf(keys(k)); k += 1 }
+  /** Offers every row of the batch `rb` holds. */
+  def offerBatch(rb: RowBatches): Unit = {
+    val rows = rb.rows
+    if (lead != null) lead.doubles(rows, rb.size, keys)
+    var j = 0
+    while (j < rb.size) { if (lead == null || within(keys(j))) consider(rows(j)); j += 1 }
   }
 
-  /** Key of row `i`. */
-  def key(i: Int): Double = if (bounded) keyOf(c.asDouble(i)) else 0.0
+  /** Offers row `i`. */
+  def offer(i: Int): Unit = if (lead == null || within(lead.asDouble(i))) consider(i)
 
-  /** Least key of a row that can sort after `start`; −∞ without a start. */
-  def lo(start: RowKey): Double = bound(start, Double.NegativeInfinity)
+  /** The keys held, in order, with their counts. */
+  def rows: Vector[(RowKey, Long)] =
+    top.entrySet.asScala.iterator.map(e => (e.getKey, e.getValue.longValue)).toVector
 
-  /** Greatest key of a row that can sort at or before `last`; +∞ without one. */
-  def hi(last: RowKey): Double = bound(last, Double.PositiveInfinity)
+  /** The least key held; null when none is. */
+  def first: RowKey = if (top.isEmpty) null else top.firstKey
 
-  private def keyOf(x: Double): Double = if (x.isNaN) missing else sign * x
+  /** Whether a lead value's key lies in [lo, hi]; small enough to inline
+    * into the row loops, which call `consider` only for rows inside.
+    */
+  private def within(x: Double): Boolean = { val y = keyOf(x); lo <= y && y <= hi }
 
+  private def consider(i: Int): Unit =
+    if (start == null || compareRowTo(i, start) > 0) {
+      val c = if (top.size < k) -1 else compareRowTo(i, top.lastKey)
+      if (c <= 0) { // a tie with the k-th key counts without a new RowKey
+        val key = if (c == 0) top.lastKey else RowKey(cols.iterator.map(KeyCell.of(_, i)).toVector)
+        top.merge(key, 1L, (a, b) => a + b)
+        if (top.size > k) top.pollLastEntry()
+        if (top.size == k) hi = bound(top.lastKey, Double.PositiveInfinity)
+      }
+    }
+
+  /** Row `i` against `key` without making a RowKey; agrees in sign with
+    * `RowKey.ordering` applied to the row's key and `key`.
+    */
+  private def compareRowTo(i: Int, key: RowKey): Int = {
+    var j = 0
+    while (j < cols.length && j < key.cells.length) {
+      val c    = cols(j)
+      val cell = key.cells(j)
+      val cmp  =
+        if (c.isMissing(i)) { if (cell eq NullCell) 0 else 1 }
+        else cell match {
+          case NullCell   => -1
+          case NumCell(v) =>
+            val x = c.asDouble(i)
+            if (x.isNaN) 1 else java.lang.Double.compare(x, v) // a string row sorts after numbers
+          case StrCell(s) => c match {
+            case _: StringColumn => c.asString(i).compareTo(s)
+            case _               => -1 // a numeric row sorts before strings
+          }
+        }
+      if (cmp != 0) return cmp * signs(j)
+      j += 1
+    }
+    cols.length - key.cells.length
+  }
+
+  private def keyOf(x: Double): Double = if (x.isNaN) missing else signs(0) * x
+
+  /** Lead key of `key`'s first cell; `none` without one or for a string. */
   private def bound(key: RowKey, none: Double): Double =
-    if (key == null || !bounded || key.cells.isEmpty) none
+    if (key == null || lead == null || key.cells.isEmpty) none
     else key.cells(0) match {
       case NumCell(v) => keyOf(v)
       case NullCell   => missing
       case StrCell(_) => none // a string sorts after every number and before the missing value
     }
-}
-
-private[core] object LeadKeys {
-  /** Keys of the first of `cols`, the sort columns of `sortCols`. */
-  def apply(cols: Array[Column], sortCols: Seq[SortCol]): LeadKeys =
-    new LeadKeys(cols.headOption.orNull, sortCols.headOption.forall(_.ascending))
 }

@@ -53,21 +53,10 @@ final case class StringBucketsSketch(col: String, k: Int = 5000, maxExact: Int =
 
   def merge(a: StringBucketsSummary, b: StringBucketsSummary): StringBucketsSummary = {
     // Union of two sorted distinct runs, trimmed to the k smallest hashes.
-    val out = Vector.newBuilder[(Long, String)]
-    var i = 0
-    var j = 0
-    var taken = 0
-    while (taken < k && (i < a.bottomK.length || j < b.bottomK.length)) {
-      val takeA = j >= b.bottomK.length ||
-        (i < a.bottomK.length && a.bottomK(i)._1 <= b.bottomK(j)._1)
-      if (takeA && j < b.bottomK.length && i < a.bottomK.length &&
-          a.bottomK(i)._1 == b.bottomK(j)._1) { out += a.bottomK(i); i += 1; j += 1 }
-      else if (takeA) { out += a.bottomK(i); i += 1 }
-      else { out += b.bottomK(j); j += 1 }
-      taken += 1
-    }
+    val bottomK = SortedRuns.union(a.bottomK, b.bottomK, k)(
+      (x, y) => java.lang.Long.compare(x._1, y._1), (x, _) => x)
     val overflow = a.overflow || b.overflow || (a.exact ++ b.exact).size > maxExact
-    StringBucketsSummary(out.result(),
+    StringBucketsSummary(bottomK,
       if (overflow) Set.empty else a.exact ++ b.exact, overflow, k, maxExact)
   }
 }

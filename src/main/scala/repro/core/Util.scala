@@ -49,6 +49,28 @@ object SplitMix {
   }
 }
 
+/** The merge step of the next-items and bottom-k sketches. */
+private[core] object SortedRuns {
+  /** The first `k` of the union of two runs, each sorted by `cmp` with
+    * distinct elements; an element of `a` equal to one of `b` is combined
+    * with it.
+    */
+  def union[T](a: Vector[T], b: Vector[T], k: Int)(cmp: (T, T) => Int, combine: (T, T) => T): Vector[T] = {
+    val out   = Vector.newBuilder[T]
+    var i     = 0
+    var j     = 0
+    var taken = 0
+    while (taken < k && (i < a.length || j < b.length)) {
+      val c = if (i == a.length) 1 else if (j == b.length) -1 else cmp(a(i), b(j))
+      if (c < 0) { out += a(i); i += 1 }
+      else if (c > 0) { out += b(j); j += 1 }
+      else { out += combine(a(i), b(j)); i += 1; j += 1 }
+      taken += 1
+    }
+    out.result()
+  }
+}
+
 /** Java-serialized size of a summary — models the bytes an aggregation
   * node sends to the root (the paper's Fig. 5 bottom metric).
   */

@@ -31,6 +31,8 @@ object T6VizketchLoc {
     ("Number distinct", "Hll.scala", Seq("final case class HllSketch"), Some(117)),
     ("Chart bucket tally (shared kernel)", "BucketTally.scala", Seq("private[core] object BucketTally"), None),
     ("Value counts (shared kernel)", "ValueCounts.scala", Seq("final class ValueCounts", "object ValueCounts"), None),
+    ("Next rows (shared kernel)", "RowKey.scala", Seq("private[core] final class NextRows"), None),
+    ("Sorted-run union (shared kernel)", "Util.scala", Seq("private[core] object SortedRuns"), None),
   )
 
   /** The core sources, found from either the repo root or a subproject

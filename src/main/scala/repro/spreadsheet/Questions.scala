@@ -40,20 +40,25 @@ object Questions {
 
   private def countOf(s: Spreadsheet, t: CachedTable): Long = s.range(t, "Distance").count
 
-  /** Per-color mean of X read off a stacked histogram: Σ center·cell/Σ cell. */
-  private def meansByGroup(sum: StackedHistogramSummary, xb: NumericBuckets,
-                           groups: BucketSpec): Seq[(String, Double)] = {
-    (0 until sum.by).map { y =>
-      var w = 0.0
-      var n = 0.0
-      for (x <- 0 until sum.bx) {
-        val c = sum.cell(x, y).toDouble
-        w += c * (xb.boundary(x) + xb.boundary(x + 1)) / 2.0
-        n += c
-      }
-      (groups.label(y), if (n > 0) w / n else Double.NaN)
-    }.filterNot(_._2.isNaN)
+  /** Mean of X over `n` buckets of `xb`, each at its centre and weighted
+    * by its `cell` count: Σ center·cell/Σ cell, or `empty` without rows.
+    */
+  private def bucketMean(xb: NumericBuckets, n: Int, empty: Double)(cell: Int => Long): Double = {
+    var w = 0.0
+    var c = 0.0
+    for (x <- 0 until n) {
+      val m = cell(x).toDouble
+      w += m * (xb.boundary(x) + xb.boundary(x + 1)) / 2.0
+      c += m
+    }
+    if (c > 0) w / c else empty
   }
+
+  /** Per-color mean of X read off a stacked histogram. */
+  private def meansByGroup(sum: StackedHistogramSummary, xb: NumericBuckets,
+                           groups: BucketSpec): Seq[(String, Double)] =
+    (0 until sum.by).map(y => (groups.label(y), bucketMean(xb, sum.bx, Double.NaN)(sum.cell(_, y))))
+      .filterNot(_._2.isNaN)
 
   /** Run a stacked histogram X=numeric, Y=string with up to `maxGroups`
     * exact groups and return per-group means of X.
@@ -135,14 +140,8 @@ object Questions {
       val hb = NumericBuckets(0, 24, 24)
       val heat = repro.engine.ExecutionTree.run(t,
         HeatmapSketch("DepHour", hb, "DepDelay", xb))
-      val meanByHour = (0 until 24).map { h =>
-        var w = 0.0; var n = 0.0
-        for (y <- 0 until heat.by) {
-          val c = heat.cell(h, y).toDouble
-          w += c * (xb.boundary(y) + xb.boundary(y + 1)) / 2.0; n += c
-        }
-        (h, if (n > 0) w / n else Double.NaN)
-      }.filterNot(_._2.isNaN)
+      val meanByHour = (0 until 24).map(h => (h, bucketMean(xb, heat.by, Double.NaN)(heat.cell(h, _))))
+        .filterNot(_._2.isNaN)
       val best = meanByHour.minBy(_._2)
       f"${best._1}:00 (mean delay ${best._2}%.1f min)"
     }
@@ -227,14 +226,8 @@ object Questions {
         val xb = NumericBuckets(m.min, m.max, 100)
         val db = NumericBuckets(1, 8, 7)
         val heat = repro.engine.ExecutionTree.run(ft, HeatmapSketch("DayOfWeek", db, "DepDelay", xb))
-        val best = (0 until 7).map { d =>
-          var w = 0.0; var n = 0.0
-          for (y <- 0 until heat.by) {
-            val c = heat.cell(d, y).toDouble
-            w += c * (xb.boundary(y) + xb.boundary(y + 1)) / 2.0; n += c
-          }
-          (d + 1, if (n > 0) w / n else Double.MaxValue)
-        }.minBy(_._2)
+        val best = (0 until 7).map(d => (d + 1, bucketMean(xb, heat.by, Double.MaxValue)(heat.cell(d, _))))
+          .minBy(_._2)
         f"weekday ${best._1} (mean ${best._2}%.1f min)"
       }
     }

@@ -131,11 +131,12 @@ class TabularLoopSpec extends AnyFunSuite {
     })
   }
 
+  private val finds = Seq(
+    ("s", "den", ExactMatch),    // dictionary column, one entry
+    ("s", "a", SubstringMatch),  // dictionary column, several entries
+    ("l", "^-", RegexMatch))     // numeric column, matched as text
+
   test("find text equals a brute-force search for every sort, start and membership") {
-    val finds = Seq(
-      ("s", "den", ExactMatch),    // dictionary column, one entry
-      ("s", "a", SubstringMatch),  // dictionary column, several entries
-      ("l", "^-", RegexMatch))     // numeric column, matched as text
     check(Prop.forAll(caseGen) { case (n, seed) =>
       val rng = new SplitMix(seed + 2)
       val bad = for {
@@ -161,6 +162,57 @@ class TabularLoopSpec extends AnyFunSuite {
            got.firstMatch.zip(want).exists { case (g, w) => ord.compare(g, w) != 0 }
       } yield s"n=$n members=${b.rowCount} find=$col/$pattern sort=$sort start=$start: " +
         s"got $got, want ${hits.length} matches, first $want"
+      bad.headOption.forall(msg => { info(msg); false })
+    })
+  }
+
+  /** Rows [from, until) of `c` as a column of its own kind. */
+  private def slice(c: Column, from: Int, until: Int): Column = {
+    val rows  = from until until
+    val nulls = new java.util.BitSet(rows.length)
+    rows.foreach(i => if (c.isMissing(i)) nulls.set(i - from))
+    def present(i: Int): Double = if (c.isMissing(i)) 0.0 else c.asDouble(i)
+    c match {
+      case _: DoubleColumn => DoubleColumn(rows.map(c.asDouble).toArray)
+      case _: LongColumn   => LongColumn(rows.map(present(_).toLong).toArray, nulls)
+      case _: DateColumn   => DateColumn(rows.map(present(_).toInt).toArray, nulls)
+      case s: StringColumn => StringColumn(s.dict, rows.map(i => Option(c.asString(i)).fold(-1)(s.dict.indexOf(_))).toArray)
+    }
+  }
+
+  test("next items and find text merge per-block summaries to the whole block's for every sort, start and K") {
+    val splitGen = for {
+      (n, seed) <- caseGen
+      parts     <- Gen.choose(2, 3)
+      cuts      <- Gen.listOfN(parts - 1, Gen.choose(0, n))
+    } yield (n, seed, (0 +: cuts.sorted :+ n).toVector)
+    check(Prop.forAll(splitGen) { case (n, seed, cuts) =>
+      val rng   = new SplitMix(seed + 3)
+      val cols  = columns(n, seed)
+      val whole = ColumnarBlock(cols, n, MembershipSet.full(n))
+      val parts = cuts.zip(cuts.tail).map { case (from, until) =>
+        ColumnarBlock(cols.map { case (name, c) => name -> slice(c, from, until) }, until - from,
+          MembershipSet.full(until - from))
+      }
+      def merged[S](sk: Sketch[S]): S =
+        parts.zipWithIndex.map { case (b, i) => sk.summarize(b, LeafCtx(i, 0)) }.foldLeft(sk.zero)(sk.merge)
+      val bad = for {
+        sort  <- sorts
+        ord    = RowKey.ordering(sort)
+        keys   = memberKeys(whole, sort)
+        start <- if (keys.isEmpty) Seq(None, Some(RowKey(Vector(NullCell)))) else starts(keys, rng)
+        next   = Seq(1, 3, 1000).map(k => NextItemsSketch(sort, k, start))
+        find   = finds.map { case (col, pattern, mode) => FindTextSketch(col, pattern, mode, caseSensitive = false, sort, start) }
+        msg   <- next.flatMap { sk =>
+                   val (got, want) = (merged(sk).rows, sk.summarize(whole, LeafCtx(0, 0)).rows)
+                   if (same(got, want, ord)) None else Some(s"next items k=${sk.k}: got $got, want $want")
+                 } ++ find.flatMap { sk =>
+                   val (got, want) = (merged(sk), sk.summarize(whole, LeafCtx(0, 0)))
+                   if (got.matches == want.matches && same(got.firstMatch.map((_, 0L)).toSeq,
+                                                           want.firstMatch.map((_, 0L)).toSeq, ord)) None
+                   else Some(s"find text ${sk.col}/${sk.pattern}: got $got, want $want")
+                 }
+      } yield s"n=$n cuts=$cuts sort=$sort start=$start: $msg"
       bad.headOption.forall(msg => { info(msg); false })
     })
   }
